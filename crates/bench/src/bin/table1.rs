@@ -9,9 +9,9 @@
 //! * `--suite full|mid|industrial|smoke` — benchmark selection (default
 //!   `full`; `smoke` is the fast subset CI reruns on every push),
 //! * `--json PATH` — additionally write the records as machine-readable
-//!   JSON (schema `itpseq-table1/v6`, which adds the fault-isolation
-//!   counters `panics_contained`, `memlimit_hits`, `faults_injected` and
-//!   `pool_seq_reruns` on top of v5's preprocessing reduction counters),
+//!   JSON (schema `itpseq-table1/v7`, which adds the fixpoint-layer
+//!   counters `fixpoint_checks` and `fixpoint_time_ms` on top of v6's
+//!   fault-isolation counters),
 //!   the artifact CI uploads,
 //! * `--chaos SEED` — arm a deterministic fault plan per run, derived
 //!   from `SEED` and the run index ([`mc::FaultPlan::seeded`]): each run

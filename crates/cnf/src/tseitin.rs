@@ -9,7 +9,44 @@
 
 use crate::{CnfBuilder, Lit};
 use aig::{Aig, AigNode, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Memo of encoded nodes: AIG node → SAT literal.
+///
+/// Node ids are dense integers produced by the program itself, so the
+/// cache hashes them with one multiplication ([`NodeHasher`]) instead of
+/// the default SipHash; lookups sit on the innermost loop of every
+/// encoding.
+pub type NodeCache = HashMap<NodeId, Lit, BuildHasherDefault<NodeHasher>>;
+
+/// A set of AIG nodes, hashed like [`NodeCache`].
+pub type NodeSet = HashSet<NodeId, BuildHasherDefault<NodeHasher>>;
+
+/// Multiplicative (Fibonacci) hasher for node ids: the key times the
+/// 64-bit golden ratio.  The product's low bits depend only on the key's
+/// low bits, so [`finish`](Hasher::finish) rotates the well-mixed middle
+/// bits into the low bits the table indexes with.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NodeHasher(u64);
+
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for NodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(byte)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(GOLDEN);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Encodes the cone of `root` into `builder`, returning the SAT literal
 /// equisatisfiably equal to `root`.
@@ -26,7 +63,7 @@ pub fn encode_cone(
     builder: &mut CnfBuilder,
     aig: &Aig,
     root: aig::Lit,
-    cache: &mut HashMap<NodeId, Lit>,
+    cache: &mut NodeCache,
     leaf: &mut dyn FnMut(&mut CnfBuilder, NodeId) -> Lit,
 ) -> Lit {
     let node_lit = encode_node(builder, aig, root.node(), cache, leaf);
@@ -41,7 +78,7 @@ fn encode_node(
     builder: &mut CnfBuilder,
     aig: &Aig,
     node: NodeId,
-    cache: &mut HashMap<NodeId, Lit>,
+    cache: &mut NodeCache,
     leaf: &mut dyn FnMut(&mut CnfBuilder, NodeId) -> Lit,
 ) -> Lit {
     if let Some(&lit) = cache.get(&node) {
@@ -105,7 +142,6 @@ mod tests {
     use super::*;
     use crate::CnfBuilder;
     use aig::Aig;
-    use std::collections::HashMap;
 
     /// Exhaustively checks that the encoding of `root` is functionally
     /// equivalent to the AIG evaluation over all input assignments.
@@ -118,7 +154,7 @@ mod tests {
             let mut builder = CnfBuilder::new();
             // Allocate one SAT var per primary input, in order.
             let input_vars: Vec<Lit> = (0..n).map(|_| builder.new_lit()).collect();
-            let mut cache = HashMap::new();
+            let mut cache = NodeCache::default();
             let root_lit = encode_cone(&mut builder, aig, root, &mut cache, &mut |_, id| match aig
                 .node(id)
             {
@@ -182,7 +218,7 @@ mod tests {
     fn encodes_constant_root() {
         let aig = Aig::new();
         let mut builder = CnfBuilder::new();
-        let mut cache = HashMap::new();
+        let mut cache = NodeCache::default();
         let t = encode_cone(
             &mut builder,
             &aig,
@@ -193,7 +229,7 @@ mod tests {
         builder.add_unit(t);
         assert!(brute_force_sat(&builder.clone().into_cnf()));
         let mut builder2 = CnfBuilder::new();
-        let mut cache2 = HashMap::new();
+        let mut cache2 = NodeCache::default();
         let f = encode_cone(
             &mut builder2,
             &aig,
@@ -214,7 +250,7 @@ mod tests {
         let h = aig.or(g, a);
         let mut builder = CnfBuilder::new();
         let vars: Vec<Lit> = (0..2).map(|_| builder.new_lit()).collect();
-        let mut cache = HashMap::new();
+        let mut cache = NodeCache::default();
         let mut leaf = |_: &mut CnfBuilder, id: aig::NodeId| match aig.node(id) {
             aig::AigNode::Input { index } => vars[index],
             _ => unreachable!(),

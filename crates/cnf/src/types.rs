@@ -278,6 +278,13 @@ impl CnfBuilder {
     pub fn clauses(&self) -> &[Clause] {
         &self.clauses
     }
+
+    /// Removes and yields the clauses added so far, keeping the variable
+    /// counter, so a persistent builder can stream its clauses into a
+    /// solver without holding a second copy of them.
+    pub fn drain_clauses(&mut self) -> std::vec::Drain<'_, Clause> {
+        self.clauses.drain(..)
+    }
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@
 //! construction, the owning incremental variant for caches that outlive
 //! any single bound.
 
-use crate::tseitin::encode_cone;
+use crate::tseitin::{encode_cone, NodeCache, NodeSet};
 use crate::{Clause, Cnf, CnfBuilder, Lit};
-use aig::{Aig, AigNode, NodeId};
-use std::collections::HashMap;
+use aig::{Aig, AigNode};
 
 /// Per-frame variable maps.
 #[derive(Clone, Debug)]
@@ -27,7 +26,7 @@ struct Frame {
     /// (allocated lazily).
     input: Vec<Option<Lit>>,
     /// Cache of node encodings at this frame.
-    cache: HashMap<NodeId, Lit>,
+    cache: NodeCache,
 }
 
 /// The design-independent state of a time-frame expansion: the clause
@@ -58,7 +57,7 @@ impl FrameCore {
         let latch: Vec<Lit> = (0..aig.num_latches())
             .map(|_| self.builder.new_lit())
             .collect();
-        let mut cache = HashMap::new();
+        let mut cache = NodeCache::default();
         for (i, &lit) in latch.iter().enumerate() {
             cache.insert(aig.latch_node(i), lit);
         }
@@ -115,7 +114,7 @@ impl FrameCore {
     /// leaves not yet present in the frame cache.
     fn ensure_leaves(&mut self, aig: &Aig, frame: usize, lit: aig::Lit) {
         let mut stack = vec![lit.node()];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = NodeSet::default();
         let mut needed_inputs = Vec::new();
         while let Some(id) = stack.pop() {
             if !seen.insert(id) || self.frames[frame].cache.contains_key(&id) {

@@ -208,14 +208,13 @@ impl IncrementalBmc {
         } else {
             Vec::new()
         };
-        let mut solver = IncrementalSolver::new();
+        let mut solver = budget.incremental_solver();
         // Recycling could only reclaim solver-allocated activation
         // variables, and this engine allocates all of its (unroller-owned)
         // variables itself — turn it off so the solver does not record a
         // replay copy of the whole unrolling.
         solver.set_recycle_threshold(0);
         solver.set_reduce_interval(reduce);
-        budget.govern_incremental(&mut solver);
         stats.encode_time += encode_start.elapsed();
         IncrementalBmc {
             unroller,

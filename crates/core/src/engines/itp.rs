@@ -8,7 +8,7 @@
 //! proves the property or a satisfiable instance forces the bound to grow.
 
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
-use crate::engines::{CancelToken, EngineProbe, RunBudget};
+use crate::engines::{fixpoint_check, CancelToken, EngineProbe, RunBudget};
 use crate::state::{encode_state_lit, StateSpace};
 use crate::{EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
@@ -185,7 +185,7 @@ pub fn verify_with_cancel(
     }
 
     let probe = EngineProbe::new(telemetry, options.probe_interval);
-    let mut space = StateSpace::new(design.num_latches());
+    let mut space = StateSpace::new(design.num_latches(), budget.incremental_solver());
     let s0 = space.initial_states(design);
     let identity: Vec<usize> = (0..design.num_latches()).collect();
 
@@ -255,7 +255,19 @@ pub fn verify_with_cancel(
                     );
                 }
             };
-            if space.implies(itp, reached) {
+            let Some(fixpoint) = fixpoint_check(&mut space, itp, reached, &mut stats, telemetry)
+            else {
+                return finish(
+                    stats,
+                    Verdict::Inconclusive {
+                        reason: budget.interrupt_reason(),
+                        bound_reached: k,
+                    },
+                    None,
+                    start,
+                );
+            };
+            if fixpoint {
                 // `reached = S0 ∨ itp_1 ∨ …` is closed under the transition
                 // relation at this point: it contains the initial states,
                 // every disjunct excludes the bad states (each interpolant's

@@ -17,7 +17,9 @@ pub mod portfolio;
 pub(crate) mod seq;
 pub mod sitpseq;
 
+use crate::state::StateSpace;
 use crate::types::StopReason;
+use crate::EngineStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::{ArgValue, Telemetry};
@@ -88,6 +90,26 @@ impl EngineProbe {
             });
         }))
     }
+}
+
+/// One fixpoint check `a ⇒ b` on the run's persistent state-space solver
+/// ([`StateSpace::implies`]), traced as a `fixpoint` span and counted in
+/// [`EngineStats::fixpoint_checks`]/[`EngineStats::fixpoint_time`] — never
+/// in the search counters, which stay those of the bounded checks.
+/// `None` means the governed solver was interrupted.
+pub(crate) fn fixpoint_check(
+    space: &mut StateSpace,
+    a: aig::Lit,
+    b: aig::Lit,
+    stats: &mut EngineStats,
+    telemetry: &Telemetry,
+) -> Option<bool> {
+    let _span = telemetry.span("fixpoint");
+    let started = std::time::Instant::now();
+    let holds = space.implies(a, b);
+    stats.fixpoint_checks += 1;
+    stats.fixpoint_time += started.elapsed();
+    holds
 }
 
 /// Cooperative cancellation token shared between an engine run and its
@@ -201,6 +223,9 @@ pub(crate) struct RunBudget {
     /// run (or a concurrent sibling sharing the budget) stopped on memory.
     mem_hits_at_arm: u64,
     faults: sat::FaultPlan,
+    /// Whether the fault plan had already fired at arm time; only a fault
+    /// fired since then stops this run.
+    fault_fired_at_arm: bool,
     stop: Option<std::sync::mpsc::Sender<()>>,
     watchdog: Option<std::thread::JoinHandle<()>>,
 }
@@ -247,6 +272,7 @@ impl RunBudget {
                 .as_ref()
                 .map_or(0, sat::MemoryBudget::hits),
             faults: options.faults.clone(),
+            fault_fired_at_arm: options.faults.fired(),
             stop: Some(stop),
             watchdog: Some(watchdog),
         }
@@ -273,6 +299,14 @@ impl RunBudget {
         solver.set_faults(self.faults.clone());
     }
 
+    /// A fresh [`sat::IncrementalSolver`] under the run's full governance
+    /// ([`govern_incremental`](Self::govern_incremental)).
+    pub fn incremental_solver(&self) -> sat::IncrementalSolver {
+        let mut solver = sat::IncrementalSolver::new();
+        self.govern_incremental(&mut solver);
+        solver
+    }
+
     /// `true` when the shared memory budget recorded a hit since this
     /// budget was armed.
     fn memory_hit(&self) -> bool {
@@ -281,8 +315,19 @@ impl RunBudget {
             .is_some_and(|m| m.hits() > self.mem_hits_at_arm)
     }
 
+    /// `true` when an injected spurious interrupt fired since this budget
+    /// was armed.  Some solver of the run (or of a concurrent sibling
+    /// sharing the plan) then answered `Interrupted` with no budget
+    /// exhausted, so the run must stop rather than read on.
+    fn injected_interrupt(&self) -> bool {
+        !self.fault_fired_at_arm
+            && self.faults.fired()
+            && self.faults.kind() == Some(sat::FaultKind::Interrupt)
+    }
+
     /// The between-bounds stop decision (see [`stop_reason`]), extended
-    /// with the memory budget — and the `Phase` fault-injection site: an
+    /// with the memory budget and fired spurious-interrupt faults — and
+    /// the `Phase` fault-injection site: an
     /// injected phase fault panics here (to be contained at the dispatch
     /// boundary) or stops the run with a spurious-interrupt reason.
     pub fn stop_reason(&self) -> Option<StopReason> {
@@ -302,6 +347,9 @@ impl RunBudget {
         if self.memory_hit() && !self.cancel.is_cancelled() {
             return Some(StopReason::MemLimit);
         }
+        if self.injected_interrupt() && !self.cancel.is_cancelled() {
+            return Some(StopReason::other("fault:interrupt"));
+        }
         stop_reason(&self.cancel, self.start, self.timeout)
     }
 
@@ -313,7 +361,7 @@ impl RunBudget {
             StopReason::Cancelled
         } else if self.memory_hit() {
             StopReason::MemLimit
-        } else if self.faults.fired() && self.faults.kind() == Some(sat::FaultKind::Interrupt) {
+        } else if self.injected_interrupt() {
             StopReason::other("fault:interrupt")
         } else {
             StopReason::Timeout

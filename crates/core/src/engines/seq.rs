@@ -18,13 +18,14 @@
 
 use crate::abstraction::Abstraction;
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
-use crate::engines::{CancelToken, EngineProbe, RunBudget};
+use crate::engines::{fixpoint_check, CancelToken, EngineProbe, RunBudget};
 use crate::state::{encode_state_lit, StateSpace};
 use crate::{EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
 use cnf::{BmcCheck, Clause, IncrementalUnroller, Unroller};
 use itp::InterpolationContext;
 use sat::{Proof, SolveResult, Solver};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
@@ -350,7 +351,7 @@ fn compute_sequence(
     // (its A side is exactly S0 ∧ A_1).
     for j in 1..=serial {
         let (instance, proof) = if j == 1 {
-            (None, full_proof.clone())
+            (None, Cow::Borrowed(full_proof))
         } else {
             let prev = sequence[j - 2];
             let encode_start = Instant::now();
@@ -378,7 +379,10 @@ fn compute_sequence(
                 }
                 SolveResult::Interrupted => return Err(budget.interrupt_reason()),
             }
-            (Some(inst), proof.expect("unsat result has a proof"))
+            (
+                Some(inst),
+                Cow::Owned(proof.expect("unsat result has a proof")),
+            )
         };
         let inst_ref = instance.as_ref().unwrap_or(full_instance);
         let itp = extract_interpolants(&proof, inst_ref, &[2], space, model_to_concrete, stats)
@@ -572,7 +576,7 @@ pub(crate) fn run(
     });
     let mut stats = EngineStats::default();
     let probe = EngineProbe::new(telemetry, options.probe_interval);
-    let mut space = StateSpace::new(design.num_latches());
+    let mut space = StateSpace::new(design.num_latches(), budget.incremental_solver());
     // `ℐ_j` column conjunctions, persisted across bounds (1-based index j).
     let mut columns: Vec<aig::Lit> = Vec::new();
 
@@ -799,7 +803,20 @@ pub(crate) fn run(
                 columns.push(aig::Lit::TRUE);
             }
             columns[j - 1] = space.and(columns[j - 1], sequence[j - 1]);
-            if space.implies(columns[j - 1], reached) {
+            let Some(fixpoint) =
+                fixpoint_check(&mut space, columns[j - 1], reached, &mut stats, telemetry)
+            else {
+                return finish(
+                    stats,
+                    Verdict::Inconclusive {
+                        reason: budget.interrupt_reason(),
+                        bound_reached: k,
+                    },
+                    None,
+                    start,
+                );
+            };
+            if fixpoint {
                 // `reached = R0 ∨ ℐ_1 ∨ … ∨ ℐ_{j-1}` is an inductive
                 // invariant here: it contains the initial states, every
                 // column excludes the bad states (its bound-j conjunct's B

@@ -164,12 +164,11 @@ impl<'a> MultiBmc<'a> {
         let encode_start = Instant::now();
         let mut unroller = IncrementalUnroller::new(self.aig);
         unroller.assert_initial(0);
-        let mut solver = IncrementalSolver::new();
+        let mut solver = budget.incremental_solver();
         // All variables are unroller-allocated; recycling would only
         // record a dead replay copy of the whole unrolling.
         solver.set_recycle_threshold(0);
         solver.set_reduce_interval(self.options.reduce_interval());
-        budget.govern_incremental(&mut solver);
         let probe = EngineProbe::new(&telemetry, self.options.probe_interval);
         solver.set_progress_probe(probe.probe());
         let frame0 = unroller.bad_lits(0, self.slots.iter().map(|slot| slot.property));

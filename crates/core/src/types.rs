@@ -184,6 +184,12 @@ pub struct EngineStats {
     pub db_reductions: u64,
     /// Number of interpolants extracted.
     pub interpolants: u64,
+    /// Fixpoint (implication) checks of the interpolation engines, such as
+    /// Fig. 2's column checks `ℐ_j ⇒ R_{j-1}`.  Their solver's search is
+    /// not part of `sat_calls`, `conflicts` or the other search counters.
+    pub fixpoint_checks: u64,
+    /// Time spent in those fixpoint checks, encoding included.
+    pub fixpoint_time: Duration,
     /// Number of abstraction refinements (CBA engine only).
     pub refinements: u64,
     /// Number of latches visible in the final abstraction (CBA engine only;
@@ -250,6 +256,8 @@ impl EngineStats {
         self.minimized_literals += other.minimized_literals;
         self.db_reductions += other.db_reductions;
         self.interpolants += other.interpolants;
+        self.fixpoint_checks += other.fixpoint_checks;
+        self.fixpoint_time += other.fixpoint_time;
         self.refinements += other.refinements;
         self.visible_latches = self.visible_latches.max(other.visible_latches);
         self.preprocess_time += other.preprocess_time;
@@ -301,6 +309,14 @@ impl fmt::Display for EngineStats {
         }
         if self.interpolants > 0 {
             write!(f, ", {} interpolants", self.interpolants)?;
+        }
+        if self.fixpoint_checks > 0 {
+            write!(
+                f,
+                ", {} fixpoint checks in {:.1} ms",
+                self.fixpoint_checks,
+                self.fixpoint_time.as_secs_f64() * 1e3
+            )?;
         }
         if self.refinements > 0 {
             write!(f, ", {} refinements", self.refinements)?;

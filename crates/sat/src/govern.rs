@@ -15,11 +15,11 @@
 //!   monotone).
 //! * [`FaultPlan`] — a deterministic, fire-exactly-once fault injector
 //!   for the chaos test suite: panic, spurious interrupt or simulated
-//!   allocation failure at the Nth conflict, Nth clause allocation or
-//!   Nth engine phase.  Firing exactly once (globally, across every
-//!   clone) is what keeps faulted runs deterministic: a worker that dies
-//!   to an injected panic can be re-run sequentially and the plan will
-//!   not re-fire.
+//!   allocation failure at the Nth conflict, Nth clause allocation, Nth
+//!   engine phase or Nth fixpoint check.  Firing exactly once (globally,
+//!   across every clone) is what keeps faulted runs deterministic: a
+//!   worker that dies to an injected panic can be re-run sequentially and
+//!   the plan will not re-fire.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,6 +120,9 @@ pub enum FaultSite {
     Alloc,
     /// The Nth engine phase (a between-bounds stop check).
     Phase,
+    /// The Nth fixpoint (implication) check of the interpolation engines'
+    /// persistent state-space solver.
+    Fixpoint,
 }
 
 #[derive(Debug)]
@@ -175,10 +178,11 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> FaultPlan {
         let mut state = seed;
         let x = splitmix64(&mut state);
-        let site = match x % 3 {
+        let site = match x % 4 {
             0 => FaultSite::Conflict,
             1 => FaultSite::Alloc,
-            _ => FaultSite::Phase,
+            2 => FaultSite::Phase,
+            _ => FaultSite::Fixpoint,
         };
         let y = splitmix64(&mut state);
         let kind = match y % 3 {
@@ -317,7 +321,12 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(!plan.is_armed());
         assert!(!plan.fired());
-        for site in [FaultSite::Conflict, FaultSite::Alloc, FaultSite::Phase] {
+        for site in [
+            FaultSite::Conflict,
+            FaultSite::Alloc,
+            FaultSite::Phase,
+            FaultSite::Fixpoint,
+        ] {
             assert_eq!(plan.tick(site), None);
         }
     }
@@ -339,7 +348,7 @@ mod tests {
         let kinds: std::collections::HashSet<_> = (0..64u64)
             .filter_map(|s| FaultPlan::seeded(s).kind())
             .collect();
-        assert_eq!(sites.len(), 3, "{sites:?}");
+        assert_eq!(sites.len(), 4, "{sites:?}");
         assert_eq!(kinds.len(), 3, "{kinds:?}");
     }
 

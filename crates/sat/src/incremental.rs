@@ -280,6 +280,12 @@ impl IncrementalSolver {
         self.solver.set_faults(faults);
     }
 
+    /// The installed fault-injection plan, so a layer built around this
+    /// solver can tick its own fault site on the run's shared plan.
+    pub fn faults(&self) -> &crate::FaultPlan {
+        &self.faults
+    }
+
     /// Returns the accumulated search statistics (including solvers
     /// discarded by recycling rebuilds).
     pub fn stats(&self) -> SolverStats {

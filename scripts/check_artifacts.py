@@ -4,11 +4,12 @@
 Each ``--kind`` is one checked artifact contract (previously an inline
 script in ``.github/workflows/ci.yml``):
 
-* ``table1-counters FILE`` — ``itpseq-table1/v6`` JSON: every record
+* ``table1-counters FILE`` — ``itpseq-table1/v7`` JSON: every record
   carries the SAT-core and search counters, the preprocessing reduction
-  counters and the fault-isolation counters, and the suite as a whole
-  exercised minimization, clause deletion and database reduction.
-* ``chaos-counters FILE`` — ``itpseq-table1/v6`` JSON from a ``--chaos``
+  counters, the fault-isolation counters and the fixpoint-layer
+  counters, and the suite as a whole exercised minimization, clause
+  deletion, database reduction and fixpoint checks.
+* ``chaos-counters FILE`` — ``itpseq-table1/v7`` JSON from a ``--chaos``
   run: fault injection was armed, so the counters must show faults
   actually fired, every verdict must still be a recognised kind, and
   every inconclusive record must carry a machine-readable reason.
@@ -48,7 +49,7 @@ FAULT_COUNTERS = [
 
 def load_table1(path):
     doc = json.load(open(path))
-    assert doc["schema"] == "itpseq-table1/v6", doc["schema"]
+    assert doc["schema"] == "itpseq-table1/v7", doc["schema"]
     records = doc["records"]
     assert records, "the run produced no records"
     return records
@@ -71,9 +72,13 @@ def check_table1_counters(path):
         "inputs_removed",
         "cert_clauses_subsumed",
     ]
+    fixpoint = ["fixpoint_checks", "fixpoint_time_ms"]
     for record in records:
-        for field in reduction + FAULT_COUNTERS:
+        for field in reduction + FAULT_COUNTERS + fixpoint:
             assert field in record, f"{field} missing from {record['benchmark']}"
+    checks = sum(r["fixpoint_checks"] for r in records)
+    assert checks > 0, "no fixpoint check ran across the whole smoke suite"
+    print(f"total fixpoint_checks: {checks}")
 
     for record in records:
         for counter in counters:

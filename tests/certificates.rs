@@ -193,6 +193,15 @@ fn corrupting_one_invariant_clause_is_rejected() {
     );
 }
 
+/// A verdict without its engine-specific payload (`k_fp`/`j_fp`).
+fn kind_and_depth(verdict: &Verdict) -> (&'static str, Option<usize>) {
+    match verdict {
+        Verdict::Proved { .. } => ("proved", None),
+        Verdict::Falsified { depth } => ("falsified", Some(*depth)),
+        Verdict::Inconclusive { .. } => ("inconclusive", None),
+    }
+}
+
 #[test]
 fn certification_changes_no_verdicts() {
     // The A/B acceptance gate: `Options::certificates` may only control
@@ -203,13 +212,38 @@ fn certification_changes_no_verdicts() {
         for engine in Engine::ALL {
             let with = engine.verify(&benchmark.aig, 0, &on);
             let without = engine.verify(&benchmark.aig, 0, &off);
-            assert_eq!(
-                with.verdict,
-                without.verdict,
-                "{} via {}: certificates flipped the verdict",
-                benchmark.name,
-                engine.name()
-            );
+            if engine == Engine::Portfolio {
+                // The portfolio promises the verdict kind and depth only:
+                // `k_fp`/`j_fp` belong to whichever entrant wins the race.
+                // Each run's payload must still be exactly its winner's.
+                assert_eq!(
+                    kind_and_depth(&with.verdict),
+                    kind_and_depth(&without.verdict),
+                    "{} via PORTFOLIO: certificates flipped the verdict",
+                    benchmark.name
+                );
+                for (result, options) in [(&with, &on), (&without, &off)] {
+                    let winner = result.stats.winner.expect("portfolio tags its winner");
+                    let solo = Engine::ALL
+                        .into_iter()
+                        .find(|e| e.name() == winner)
+                        .expect("the winner is an engine")
+                        .verify(&benchmark.aig, 0, options);
+                    assert_eq!(
+                        result.verdict, solo.verdict,
+                        "{} via PORTFOLIO: payload differs from its winner {winner}'s solo run",
+                        benchmark.name
+                    );
+                }
+            } else {
+                assert_eq!(
+                    with.verdict,
+                    without.verdict,
+                    "{} via {}: certificates flipped the verdict",
+                    benchmark.name,
+                    engine.name()
+                );
+            }
             assert!(
                 without.certificate.is_none(),
                 "{} via {}: certificates off must not emit evidence",

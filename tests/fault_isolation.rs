@@ -15,10 +15,13 @@
 //! `#[ignore]`d and exercised by CI's chaos job
 //! (`cargo test --release --test fault_isolation -- --include-ignored`).
 
-use itpseq::mc::{Engine, EngineResult, Options, StopReason, Verdict};
+use itpseq::mc::{CancelToken, Engine, EngineResult, Options, StopReason, Verdict};
 use itpseq::sat::{FaultKind, FaultPlan, FaultSite};
+use itpseq::telemetry::{Event, EventKind, Telemetry, TelemetrySink};
 use itpseq::workloads::Benchmark;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const ENGINES: [Engine; 4] = [Engine::ItpSeq, Engine::Pdr, Engine::Bmc, Engine::Portfolio];
 
@@ -142,6 +145,142 @@ fn every_fault_site_and_kind_is_contained() {
     }
 }
 
+/// The interpolation engines whose fixpoint checks run on the persistent
+/// state-space solver.
+const FIXPOINT_ENGINES: [Engine; 4] = [
+    Engine::Itp,
+    Engine::ItpSeq,
+    Engine::SerialItpSeq,
+    Engine::ItpSeqCba,
+];
+
+/// Faults fired inside the fixpoint layer are contained and flip no
+/// verdict: an injected panic unwinds to the dispatch boundary, an
+/// injected interrupt stops the run like a timeout would.
+#[test]
+fn fixpoint_faults_are_contained_and_sound() {
+    let mut seeded_fired = 0u64;
+    let seeded: Vec<FaultPlan> = (0..64u64)
+        .map(FaultPlan::seeded)
+        .filter(|plan| plan.site() == Some(FaultSite::Fixpoint))
+        .take(3)
+        .collect();
+    assert!(
+        !seeded.is_empty(),
+        "the seeded derivation reaches the fixpoint site"
+    );
+    for benchmark in &small_suite() {
+        for engine in FIXPOINT_ENGINES {
+            let clean = engine.verify(&benchmark.aig, 0, &options());
+            let checks = clean.stats.fixpoint_checks;
+            assert!(
+                checks > 0,
+                "{} / {}: no fixpoint check",
+                benchmark.name,
+                engine.name()
+            );
+            for kind in [FaultKind::Panic, FaultKind::Interrupt, FaultKind::AllocFail] {
+                for at in [1, checks] {
+                    let plan = FaultPlan::inject(FaultSite::Fixpoint, kind, at);
+                    let result = engine.verify(&benchmark.aig, 0, &options().with_faults(plan));
+                    let context = format!(
+                        "{} / {} / {kind:?} at check {at}",
+                        benchmark.name,
+                        engine.name()
+                    );
+                    assert!(assert_sound(&context, &clean.verdict, &result), "{context}");
+                    assert_eq!(result.stats.faults_injected, 1, "{context}");
+                    let Verdict::Inconclusive { reason, .. } = &result.verdict else {
+                        unreachable!("assert_sound reported a degraded run")
+                    };
+                    match kind {
+                        FaultKind::Panic | FaultKind::AllocFail => {
+                            assert!(
+                                matches!(reason, StopReason::Panic(_)),
+                                "{context}: {reason}"
+                            )
+                        }
+                        FaultKind::Interrupt => {
+                            assert_eq!(reason.to_string(), "fault:interrupt", "{context}")
+                        }
+                    }
+                }
+            }
+            for plan in &seeded {
+                let result = engine.verify(&benchmark.aig, 0, &options().with_faults(plan.clone()));
+                let context = format!("{} / {} / seeded {plan:?}", benchmark.name, engine.name());
+                assert_sound(&context, &clean.verdict, &result);
+                seeded_fired += result.stats.faults_injected;
+            }
+        }
+    }
+    assert!(seeded_fired > 0, "a seeded fixpoint fault must fire");
+}
+
+/// Cancels the run it observes at the start of its `at`-th `fixpoint`
+/// span, and remembers when.
+struct CancelAtFixpoint {
+    cancel: CancelToken,
+    at: u64,
+    seen: AtomicU64,
+    cancelled: Mutex<Option<Instant>>,
+}
+
+impl TelemetrySink for CancelAtFixpoint {
+    fn record(&self, event: Event) {
+        if event.kind == EventKind::Begin
+            && event.name == "fixpoint"
+            && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at
+        {
+            *self.cancelled.lock().expect("sink lock") = Some(Instant::now());
+            self.cancel.cancel();
+        }
+    }
+}
+
+/// A cancelled ITPSEQ run stops promptly on a design where the fixpoint
+/// checks dominate: the persistent fixpoint solver takes the run's
+/// interrupt flag like every other solver of the run.
+#[test]
+fn cancelled_itpseq_stops_promptly_in_the_fixpoint_layer() {
+    // A 7-bit counter wrapping at 90: proving 127 unreachable takes ITPSEQ
+    // 90 bounds, and the column checks, quadratic in the bound, take most
+    // of the run.  The cancel lands at the 300th check, around bound 24.
+    let aig = itpseq::workloads::counter::modular(7, 90, 127);
+    let cancel = CancelToken::new();
+    let sink = Arc::new(CancelAtFixpoint {
+        cancel: cancel.clone(),
+        at: 300,
+        seen: AtomicU64::new(0),
+        cancelled: Mutex::new(None),
+    });
+    let options = options()
+        .with_max_bound(200)
+        .with_telemetry(Telemetry::new(sink.clone()));
+    let result = Engine::ItpSeq.verify_with_cancel(&aig, 0, &options, &cancel);
+    let cancelled = sink
+        .cancelled
+        .lock()
+        .expect("sink lock")
+        .expect("the run reached its 300th fixpoint check");
+    let latency = cancelled.elapsed();
+    assert!(
+        matches!(
+            &result.verdict,
+            Verdict::Inconclusive {
+                reason: StopReason::Cancelled,
+                ..
+            }
+        ),
+        "{}",
+        result.verdict
+    );
+    assert!(
+        latency < Duration::from_secs(1),
+        "the run took {latency:?} to stop after the cancel"
+    );
+}
+
 /// Chaos runs are reproducible: the same seed yields the same verdict,
 /// run after run (single-threaded, so the fault countdown is exact).
 #[test]
@@ -218,6 +357,55 @@ fn multi_property_chaos_never_flips_statuses() {
             }
         }
     }
+}
+
+/// A spurious interrupt answers some query `Interrupted` with no budget
+/// exhausted; no engine may read that answer as "unsatisfiable".  PDR
+/// used to take an interrupted frontier probe for a clean frontier: it
+/// proved falsified properties, or tripped an internal assertion.  The
+/// sweep runs single-threaded, so every fault lands at the same query
+/// on every run.
+#[test]
+fn spurious_interrupts_never_read_as_unsat() {
+    let aig = itpseq::workloads::counter::modular_multi(4, 10, &[3, 11, 7, 15]);
+    let base = options().with_threads(1);
+    let mut fired = 0u64;
+    let clean = Engine::Pdr.verify_all(&aig, &base);
+    for at in 1..=64u64 {
+        let plan = || FaultPlan::inject(FaultSite::Alloc, FaultKind::Interrupt, at);
+        let verify_all_plan = plan();
+        let faulted =
+            Engine::Pdr.verify_all(&aig, &base.clone().with_faults(verify_all_plan.clone()));
+        fired += u64::from(verify_all_plan.fired());
+        for (i, (reference, status)) in clean.statuses.iter().zip(&faulted.statuses).enumerate() {
+            let context = format!("verify_all, property {i}, interrupt at allocation {at}");
+            if status.is_conclusive() {
+                assert_eq!(
+                    reference.kind_and_depth(),
+                    status.kind_and_depth(),
+                    "{context}"
+                );
+            }
+        }
+        assert_eq!(
+            faulted.stats.panics_contained, 0,
+            "interrupt at allocation {at}"
+        );
+        for (i, reference) in clean.statuses.iter().enumerate() {
+            let result = Engine::Pdr.verify(&aig, i, &base.clone().with_faults(plan()));
+            fired += result.stats.faults_injected;
+            let context = format!("property {i}, interrupt at allocation {at}");
+            if result.verdict.is_conclusive() {
+                assert!(
+                    reference.agrees_with(&result.verdict),
+                    "{context}: {}",
+                    result.verdict
+                );
+            }
+            assert_eq!(result.stats.panics_contained, 0, "{context}");
+        }
+    }
+    assert!(fired > 0, "the sweep must land at least one interrupt");
 }
 
 /// An industrial run under a starved memory budget terminates with the
