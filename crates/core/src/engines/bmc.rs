@@ -40,7 +40,7 @@ use crate::types::StopReason;
 use crate::{Certificate, EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
 use cnf::{BmcCheck, IncrementalUnroller};
-use sat::{IncrementalSolver, SolveResult, Solver, SolverStats};
+use sat::{IncrementalSolver, SolveResult, SolverStats};
 use std::time::{Duration, Instant};
 use telemetry::ArgValue;
 
@@ -78,7 +78,7 @@ struct Depth0Check {
 fn initial_violation(
     aig: &Aig,
     bad_index: usize,
-    budget: Option<&RunBudget>,
+    budget: &RunBudget,
     reduce: Option<u64>,
 ) -> Depth0Check {
     let encode_start = Instant::now();
@@ -94,12 +94,9 @@ fn initial_violation(
         .map(|i| unroller.input_lit(0, i))
         .collect();
     let cnf = unroller.into_cnf();
-    let mut solver = Solver::new();
+    let mut solver = budget.solver();
     solver.set_proof_logging(false);
     solver.set_reduce_interval(reduce);
-    if let Some(budget) = budget {
-        budget.govern(&mut solver);
-    }
     solver.add_cnf(&cnf);
     let encode_time = encode_start.elapsed();
     let (outcome, inputs) = match solver.solve() {
@@ -141,7 +138,7 @@ pub(crate) fn depth0_verdict(
     let span = options
         .telemetry
         .span_args("depth0", || vec![("bad", ArgValue::U64(bad_index as u64))]);
-    let depth0 = initial_violation(aig, bad_index, Some(budget), options.reduce_interval());
+    let depth0 = initial_violation(aig, bad_index, budget, options.reduce_interval());
     span.end();
     stats.sat_calls += 1;
     stats.add_solver_delta(depth0.solver);
@@ -297,16 +294,12 @@ impl IncrementalBmc {
 }
 
 /// Runs BMC on bad-state property `bad_index`, increasing the bound until a
-/// counterexample is found or the bound/time budget is exhausted.
-pub fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(aig, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under a cancellation token: the bound loop and each SAT
-/// query stop soon after the token is cancelled *or* the wall-clock budget
-/// runs out (a `RunBudget` watchdog raises the solver interrupt flag, so
-/// even one long query cannot overshoot `options.timeout` arbitrarily).
-pub fn verify_with_cancel(
+/// counterexample is found or the bound/time budget is exhausted.  The
+/// bound loop and each SAT query stop soon after `cancel` is cancelled
+/// *or* the wall-clock budget runs out (a `RunBudget` watchdog raises the
+/// solver interrupt flag, so even one long query cannot overshoot
+/// `options.timeout` arbitrarily).
+pub(crate) fn run(
     aig: &Aig,
     bad_index: usize,
     options: &Options,
@@ -404,33 +397,23 @@ pub fn verify_with_cancel(
     )
 }
 
-/// Checks a single bound and returns whether a counterexample of that exact
-/// formulation exists.
-pub fn check_bound(aig: &Aig, bad_index: usize, bound: usize, check: BmcCheck) -> bool {
-    check_bound_with_stats(aig, bad_index, bound, check).0
-}
-
-/// [`check_bound`] plus the solver statistics of the query, so callers can
-/// fold the conflicts into their own accounting instead of dropping them.
-pub fn check_bound_with_stats(
-    aig: &Aig,
-    bad_index: usize,
-    bound: usize,
-    check: BmcCheck,
-) -> (bool, SolverStats) {
-    let instance = cnf::bmc::build(aig, bad_index, bound, check);
-    let mut solver = Solver::new();
-    solver.set_proof_logging(false);
-    solver.add_cnf(&instance.cnf);
-    let violated = solver.solve() == SolveResult::Sat;
-    (violated, solver.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Options;
+    use crate::{Engine, Options};
     use aig::builder::{latch_word, word_equals_const, word_increment};
+    use sat::Solver;
+
+    /// Runs BMC on property 0 of `aig`, with no preprocessing.
+    fn verify(aig: &Aig, options: &Options) -> EngineResult {
+        Engine::Bmc.run(aig, 0, options, &CancelToken::new())
+    }
+
+    /// The depth-0 check under a fresh budget with default options.
+    fn depth0_check(aig: &Aig) -> Depth0Check {
+        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &Options::default());
+        initial_violation(aig, 0, &budget, Some(sat::DEFAULT_REDUCE_FIRST))
+    }
 
     fn counter(width: usize, bad_at: u64) -> Aig {
         let mut aig = Aig::new();
@@ -498,15 +481,16 @@ mod tests {
 
     /// The pre-incremental reference: rebuild the instance from scratch at
     /// every bound, exactly as the engine did before the unrolling cache.
-    fn verify_scratch(aig: &Aig, bad_index: usize, options: &Options) -> (Verdict, u64) {
+    #[allow(clippy::disallowed_methods)]
+    fn verify_scratch(aig: &Aig, options: &Options) -> (Verdict, u64) {
         let mut sat_calls = 0u64;
-        let depth0 = initial_violation(aig, bad_index, None, Some(sat::DEFAULT_REDUCE_FIRST));
+        let depth0 = depth0_check(aig);
         sat_calls += 1;
         if matches!(depth0.outcome, Depth0::Violated) {
             return (Verdict::Falsified { depth: 0 }, sat_calls);
         }
         for k in 1..=options.max_bound {
-            let instance = cnf::bmc::build(aig, bad_index, k, options.check);
+            let instance = cnf::bmc::build(aig, 0, k, options.check);
             let mut solver = Solver::new();
             solver.add_cnf(&instance.cnf);
             sat_calls += 1;
@@ -526,7 +510,7 @@ mod tests {
     #[test]
     fn finds_counterexample_at_exact_depth() {
         let aig = counter(4, 9);
-        let result = verify(&aig, 0, &Options::default());
+        let result = verify(&aig, &Options::default());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 9 });
         assert!(result.stats.sat_calls >= 9);
     }
@@ -534,7 +518,7 @@ mod tests {
     #[test]
     fn counterexample_comes_with_a_replayable_trace() {
         let aig = counter(4, 9);
-        let result = verify(&aig, 0, &Options::default());
+        let result = verify(&aig, &Options::default());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 9 });
         let Some(Certificate::Trace(inputs)) = result.certificate else {
             panic!("falsified BMC run must carry a trace certificate");
@@ -543,7 +527,7 @@ mod tests {
         let sim = aig::simulate(&aig, &inputs);
         assert!(sim.bad[9][0], "replay must hit the bad state at depth 9");
         // The A/B switch: no certificate, same verdict.
-        let off = verify(&aig, 0, &Options::default().with_certificates(false));
+        let off = verify(&aig, &Options::default().with_certificates(false));
         assert_eq!(off.verdict, Verdict::Falsified { depth: 9 });
         assert_eq!(off.certificate, None);
     }
@@ -557,7 +541,7 @@ mod tests {
         aig.set_next(l, i);
         let seen_two = aig.and(aig.latch_lit(l), i);
         aig.add_bad(seen_two);
-        let result = verify(&aig, 0, &Options::default());
+        let result = verify(&aig, &Options::default());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 1 });
         let Some(Certificate::Trace(inputs)) = result.certificate else {
             panic!("missing trace");
@@ -574,7 +558,7 @@ mod tests {
         let cur = aig.latch_lit(l);
         aig.set_next(l, aig::Lit::FALSE);
         aig.add_bad(cur);
-        let result = verify(&aig, 0, &Options::default().with_max_bound(5));
+        let result = verify(&aig, &Options::default().with_max_bound(5));
         assert!(matches!(
             result.verdict,
             Verdict::Inconclusive {
@@ -588,29 +572,9 @@ mod tests {
     fn bound_check_formulations_agree_on_failing_depth() {
         let aig = counter(3, 5);
         for check in [BmcCheck::Bound, BmcCheck::Exact, BmcCheck::ExactAssume] {
-            let result = verify(&aig, 0, &Options::default().with_check(check));
+            let result = verify(&aig, &Options::default().with_check(check));
             assert_eq!(result.verdict, Verdict::Falsified { depth: 5 }, "{check:?}");
         }
-    }
-
-    #[test]
-    fn check_bound_matches_reachability() {
-        let aig = counter(3, 5);
-        assert!(!check_bound(&aig, 0, 4, BmcCheck::Exact));
-        assert!(check_bound(&aig, 0, 5, BmcCheck::Exact));
-        assert!(check_bound(&aig, 0, 5, BmcCheck::ExactAssume));
-        assert!(check_bound(&aig, 0, 6, BmcCheck::Bound));
-    }
-
-    #[test]
-    fn check_bound_reports_its_solver_stats() {
-        let aig = counter(4, 11);
-        let (violated, stats) = check_bound_with_stats(&aig, 0, 11, BmcCheck::Exact);
-        assert!(violated);
-        assert!(
-            stats.propagations > 0,
-            "an 11-frame query must do real work"
-        );
     }
 
     #[test]
@@ -622,8 +586,8 @@ mod tests {
         for check in [BmcCheck::Bound, BmcCheck::Exact, BmcCheck::ExactAssume] {
             for aig in &designs {
                 let options = Options::default().with_max_bound(12).with_check(check);
-                let incremental = verify(aig, 0, &options);
-                let (scratch_verdict, scratch_calls) = verify_scratch(aig, 0, &options);
+                let incremental = verify(aig, &options);
+                let (scratch_verdict, scratch_calls) = verify_scratch(aig, &options);
                 assert_eq!(incremental.verdict, scratch_verdict, "{check:?}");
                 assert_eq!(incremental.stats.sat_calls, scratch_calls, "{check:?}");
             }
@@ -641,7 +605,6 @@ mod tests {
             let run = |bound: usize| {
                 let result = verify(
                     &aig,
-                    0,
                     &Options::default().with_max_bound(bound).with_check(check),
                 );
                 assert!(
@@ -668,7 +631,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let start = Instant::now();
-        let result = verify_with_cancel(&aig, 0, &Options::default(), &cancel);
+        let result = Engine::Bmc.run(&aig, 0, &Options::default(), &cancel);
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "cancelled depth-0 check must stop promptly"
@@ -689,7 +652,7 @@ mod tests {
         let aig = hostile_depth0(10);
         let options = Options::default().with_timeout(Duration::from_millis(50));
         let start = Instant::now();
-        let result = verify(&aig, 0, &options);
+        let result = verify(&aig, &options);
         assert!(
             start.elapsed() < Duration::from_secs(20),
             "the deadline watchdog must interrupt the solve"
@@ -708,12 +671,12 @@ mod tests {
         // A small pigeonhole cone makes the depth-0 refutation conflict
         // for real; those conflicts used to be dropped on the floor.
         let aig = hostile_depth0(4);
-        let depth0 = initial_violation(&aig, 0, None, Some(sat::DEFAULT_REDUCE_FIRST));
+        let depth0 = depth0_check(&aig);
         assert!(matches!(depth0.outcome, Depth0::Safe));
         assert!(depth0.solver.conflicts > 0, "php(4) must conflict");
         // With max_bound = 0 the engine's statistics are exactly the
         // depth-0 check's, so the accumulation is observable end to end.
-        let result = verify(&aig, 0, &Options::default().with_max_bound(0));
+        let result = verify(&aig, &Options::default().with_max_bound(0));
         assert!(result.stats.conflicts > 0);
         assert!(result.stats.clauses_encoded > 0);
         assert_eq!(result.stats.sat_calls, 1);

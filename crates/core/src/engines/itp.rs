@@ -81,9 +81,8 @@ fn solve(
     probe: &EngineProbe,
     telemetry: &Telemetry,
 ) -> (SolveResult, Option<Proof>, Solver) {
-    let mut solver = Solver::new();
+    let mut solver = budget.solver();
     solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
     solver.set_progress_probe(probe.probe());
     solver.add_cnf(cnf);
     stats.sat_calls += 1;
@@ -140,15 +139,10 @@ fn extract_interpolant(
     Ok(itp)
 }
 
-/// Runs standard interpolation on bad-state property `bad_index`.
-pub fn verify(design: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(design, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under a cancellation token: the bound loop, the inner
-/// fixed-point iteration and each refutation stop soon after the token is
-/// cancelled.
-pub fn verify_with_cancel(
+/// Runs standard interpolation on bad-state property `bad_index`: the
+/// bound loop, the inner fixed-point iteration and each refutation stop
+/// soon after `cancel` is cancelled.
+pub(crate) fn run(
     design: &Aig,
     bad_index: usize,
     options: &Options,
@@ -345,46 +339,36 @@ pub fn verify_with_cancel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Options;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use crate::{Engine, Options};
+    use workloads::counter::modular;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    /// Runs ITP on property 0 of `aig`, with no preprocessing.
+    fn verify(aig: &Aig, options: &Options) -> EngineResult {
+        Engine::Itp.run(aig, 0, options, &CancelToken::new())
     }
 
     #[test]
     fn proves_unreachable_counter_value() {
         // Counter counts 0..5 and wraps; value 7 is unreachable.
-        let aig = modular_counter(3, 6, 7);
-        let result = verify(&aig, 0, &Options::default());
+        let aig = modular(3, 6, 7);
+        let result = verify(&aig, &Options::default());
         assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
         assert!(result.stats.interpolants > 0);
     }
 
     #[test]
     fn falsifies_reachable_counter_value() {
-        let aig = modular_counter(3, 6, 4);
-        let result = verify(&aig, 0, &Options::default());
+        let aig = modular(3, 6, 4);
+        let result = verify(&aig, &Options::default());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 4 });
     }
 
     #[test]
     fn verdicts_match_exact_bdd_reachability() {
         for bad_at in 1..8u64 {
-            let aig = modular_counter(3, 6, bad_at);
+            let aig = modular(3, 6, bad_at);
             let exact = bdd::reach::analyze(&aig, 0, 1_000_000);
-            let got = verify(&aig, 0, &Options::default());
+            let got = verify(&aig, &Options::default());
             match exact.verdict {
                 bdd::BddVerdict::Pass => {
                     assert!(got.verdict.is_proved(), "bad_at={bad_at}: {}", got.verdict)
@@ -399,9 +383,9 @@ mod tests {
 
     #[test]
     fn timeout_is_reported() {
-        let aig = modular_counter(4, 12, 15);
+        let aig = modular(4, 12, 15);
         let options = Options::default().with_timeout(std::time::Duration::ZERO);
-        let result = verify(&aig, 0, &options);
+        let result = verify(&aig, &options);
         assert!(matches!(result.verdict, Verdict::Inconclusive { .. }));
     }
 }

@@ -2,20 +2,19 @@
 //! competitor every modern checker ships, and the racing portfolio that
 //! combines them.
 //!
-//! Every engine verifies one bad-state property per run
-//! ([`Engine::verify`](crate::Engine::verify)); the multi-property
-//! entry points that amortize one run across all properties of a design
-//! live in [`crate::multi`].
+//! Every engine verifies one bad-state property per run through one
+//! entry point, [`Engine::run`](crate::Engine::run), reached from the
+//! public [`Engine::verify`](crate::Engine::verify) family; the
+//! multi-property backends that amortize one run across all properties
+//! of a design live in [`crate::multi`].  The three sequence engines of
+//! the paper are one loop, [`seq::run`], under three [`seq::SeqConfig`]s.
 
-pub mod bmc;
-pub mod itp;
-pub mod itpseq;
-pub mod itpseq_cba;
-pub mod pdr;
+pub(crate) mod bmc;
+pub(crate) mod itp;
+pub(crate) mod pdr;
 pub(crate) mod pool;
-pub mod portfolio;
+pub(crate) mod portfolio;
 pub(crate) mod seq;
-pub mod sitpseq;
 
 use crate::state::StateSpace;
 use crate::types::StopReason;
@@ -285,7 +284,7 @@ impl RunBudget {
 
     /// Installs the run's full governance on a solver: the interrupt
     /// flag, the shared memory budget and the fault-injection plan.
-    pub fn govern(&self, solver: &mut sat::Solver) {
+    fn govern(&self, solver: &mut sat::Solver) {
         solver.set_interrupt(Some(self.flag()));
         solver.set_memory_budget(self.memory.clone());
         solver.set_faults(self.faults.clone());
@@ -293,16 +292,38 @@ impl RunBudget {
 
     /// [`govern`](Self::govern) for an [`sat::IncrementalSolver`] (the
     /// settings additionally survive its recycling rebuilds).
-    pub fn govern_incremental(&self, solver: &mut sat::IncrementalSolver) {
+    fn govern_incremental(&self, solver: &mut sat::IncrementalSolver) {
         solver.set_interrupt(Some(self.flag()));
         solver.set_memory_budget(self.memory.clone());
         solver.set_faults(self.faults.clone());
     }
 
-    /// A fresh [`sat::IncrementalSolver`] under the run's full governance
-    /// ([`govern_incremental`](Self::govern_incremental)).
+    /// A fresh [`sat::Solver`] under the run's full governance.  The
+    /// engines build their solvers only through these constructors
+    /// (`clippy.toml` forbids the bare ones), so timeout, cancellation,
+    /// the memory budget and fault injection reach every solver of a run.
+    #[allow(clippy::disallowed_methods)]
+    pub fn solver(&self) -> sat::Solver {
+        let mut solver = sat::Solver::new();
+        self.govern(&mut solver);
+        solver
+    }
+
+    /// A fresh [`sat::IncrementalSolver`] under the run's full governance.
+    #[allow(clippy::disallowed_methods)]
     pub fn incremental_solver(&self) -> sat::IncrementalSolver {
         let mut solver = sat::IncrementalSolver::new();
+        self.govern_incremental(&mut solver);
+        solver
+    }
+
+    /// An [`sat::IncrementalSolver`] preloaded with `base` (see
+    /// [`sat::IncrementalSolver::with_base`]) under the run's full
+    /// governance.  The base clauses are loaded before the fault plan is
+    /// installed, so loading them never ticks a fault site.
+    #[allow(clippy::disallowed_methods)]
+    pub fn incremental_solver_with_base(&self, base: &cnf::Cnf) -> sat::IncrementalSolver {
+        let mut solver = sat::IncrementalSolver::with_base(base);
         self.govern_incremental(&mut solver);
         solver
     }
@@ -374,6 +395,77 @@ impl Drop for RunBudget {
         drop(self.stop.take());
         if let Some(watchdog) = self.watchdog.take() {
             let _ = watchdog.join();
+        }
+    }
+}
+
+// The checks every sequence engine must pass live once in `seq::tests`;
+// these modules run them under each engine's own test names.
+#[cfg(test)]
+mod itpseq {
+    mod tests {
+        use crate::engines::seq::tests as checks;
+        use crate::Engine::ItpSeq;
+
+        #[test]
+        fn proves_unreachable_counter_value() {
+            checks::proves_unreachable_counter_values(ItpSeq);
+        }
+
+        #[test]
+        fn falsifies_reachable_counter_value_at_exact_depth() {
+            checks::falsifies_at_the_exact_depth(ItpSeq);
+        }
+
+        #[test]
+        fn verdicts_match_exact_bdd_reachability() {
+            checks::matches_exact_bdd_reachability(ItpSeq);
+        }
+    }
+}
+
+#[cfg(test)]
+mod sitpseq {
+    mod tests {
+        use crate::engines::seq::tests as checks;
+        use crate::Engine::SerialItpSeq;
+
+        #[test]
+        fn proves_unreachable_counter_value() {
+            checks::proves_unreachable_counter_values(SerialItpSeq);
+        }
+
+        #[test]
+        fn falsifies_reachable_counter_value() {
+            checks::falsifies_at_the_exact_depth(SerialItpSeq);
+        }
+
+        #[test]
+        fn verdicts_match_exact_bdd_reachability() {
+            checks::matches_exact_bdd_reachability(SerialItpSeq);
+        }
+    }
+}
+
+#[cfg(test)]
+mod itpseq_cba {
+    mod tests {
+        use crate::engines::seq::tests as checks;
+        use crate::Engine::ItpSeqCba;
+
+        #[test]
+        fn proves_unreachable_counter_value() {
+            checks::proves_unreachable_counter_values(ItpSeqCba);
+        }
+
+        #[test]
+        fn falsifies_reachable_counter_value() {
+            checks::falsifies_at_the_exact_depth(ItpSeqCba);
+        }
+
+        #[test]
+        fn verdicts_match_exact_bdd_reachability() {
+            checks::matches_exact_bdd_reachability(ItpSeqCba);
         }
     }
 }

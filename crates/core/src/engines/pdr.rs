@@ -79,16 +79,11 @@ use telemetry::ArgValue;
 /// solvers for a parallel pass.
 const PAR_MIN_ITEMS: usize = 4;
 
-/// Runs PDR on bad-state property `bad_index` of `aig`.
-pub fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(aig, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under a cancellation token: the outer loop, the blocking
-/// phase, propagation, generalization and every SAT query stop soon after
-/// the token is cancelled or the wall-clock budget runs out (the deadline
-/// reaches the solvers through the same interrupt flag).
-pub fn verify_with_cancel(
+/// Runs PDR on bad-state property `bad_index` of `aig`: the outer loop,
+/// the blocking phase, propagation, generalization and every SAT query
+/// stop soon after `cancel` is cancelled or the wall-clock budget runs out
+/// (the deadline reaches the solvers through the same interrupt flag).
+pub(crate) fn run(
     aig: &Aig,
     bad_index: usize,
     options: &Options,
@@ -309,7 +304,7 @@ struct Pdr<'a> {
     /// Primary-input variables of frame 0.
     input0: Vec<Lit>,
     /// The bad literals at frame 0, one per verified property (a single
-    /// property for [`verify`], the whole group for `verify_all`).
+    /// property for [`run`], the whole group for `verify_all`).
     bads0: Vec<Lit>,
     latch_of_var0: HashMap<u32, usize>,
     latch_of_var1: HashMap<u32, usize>,
@@ -370,17 +365,15 @@ impl<'a> Pdr<'a> {
 
         let probe = EngineProbe::new(&options.telemetry, options.probe_interval);
         let init: Vec<bool> = (0..aig.num_latches()).map(|l| aig.init(l)).collect();
-        let mut init_solver = IncrementalSolver::with_base(&template);
+        let mut init_solver = budget.incremental_solver_with_base(&template);
         init_solver.set_reduce_interval(options.reduce_interval());
-        budget.govern_incremental(&mut init_solver);
         init_solver.set_progress_probe(probe.probe());
         for (latch, &value) in init.iter().enumerate() {
             let lit = if value { latch0[latch] } else { !latch0[latch] };
             init_solver.add_clause([lit]);
         }
-        let mut lift = IncrementalSolver::with_base(&template);
+        let mut lift = budget.incremental_solver_with_base(&template);
         lift.set_reduce_interval(options.reduce_interval());
-        budget.govern_incremental(&mut lift);
         lift.set_progress_probe(probe.probe());
 
         Pdr {
@@ -518,9 +511,8 @@ impl<'a> Pdr<'a> {
         self.options.telemetry.instant_args("extend", || {
             vec![("frames", ArgValue::U64(self.frames.level() as u64 + 1))]
         });
-        let mut solver = IncrementalSolver::with_base(&self.template);
+        let mut solver = self.budget.incremental_solver_with_base(&self.template);
         solver.set_reduce_interval(self.options.reduce_interval());
-        self.budget.govern_incremental(&mut solver);
         solver.set_progress_probe(self.probe.probe());
         self.solvers.push(solver);
     }
@@ -571,11 +563,9 @@ impl<'a> Pdr<'a> {
                     return Phase::Stopped;
                 }
                 if obligation.frame == 0 {
-                    // Without push-forward every chain satisfies
-                    // `frame + depth = level`, which is what makes the
-                    // reported depths minimal; a forwarded chain reaches
-                    // frame 0 with a real but possibly longer depth.
-                    debug_assert!(self.options.push_obligations || obligation.depth == level);
+                    // Every chain satisfies `frame + depth = level`, which
+                    // is what makes the reported depths minimal.
+                    debug_assert_eq!(obligation.depth, level);
                     report(&self.options.telemetry, obligations_processed);
                     let trace = self
                         .options
@@ -590,17 +580,6 @@ impl<'a> Pdr<'a> {
                     Query::Blocked(core) => {
                         let lemma = generalize::generalize(self, obligation.frame, core);
                         self.add_lemma(obligation.frame, lemma);
-                        // Push-forward: the cube's states stay `depth`
-                        // transitions from bad, so re-examining it one
-                        // frame later eagerly strengthens the trace.
-                        if self.options.push_obligations && obligation.frame < level {
-                            self.obligations.push(Obligation {
-                                frame: obligation.frame + 1,
-                                depth: obligation.depth,
-                                cube: obligation.cube,
-                                path: obligation.path,
-                            });
-                        }
                     }
                     Query::Predecessor(cube, inputs) => {
                         let path = self.push_path(inputs, Some(obligation.path));
@@ -1082,22 +1061,14 @@ impl<'a> Pdr<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use crate::Engine;
+    use aig::builder::word_equals_const;
     use std::time::Duration;
+    use workloads::counter::modular;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    /// Runs PDR on property 0 of `aig`, with no preprocessing.
+    fn verify(aig: &Aig, options: &Options) -> EngineResult {
+        Engine::Pdr.run(aig, 0, options, &CancelToken::new())
     }
 
     fn options() -> Options {
@@ -1108,8 +1079,8 @@ mod tests {
 
     #[test]
     fn proves_unreachable_counter_values() {
-        let aig = modular_counter(3, 6, 7);
-        let result = verify(&aig, 0, &options());
+        let aig = modular(3, 6, 7);
+        let result = verify(&aig, &options());
         assert!(result.verdict.is_proved(), "{}", result.verdict);
         assert!(result.stats.sat_calls > 0);
     }
@@ -1117,8 +1088,8 @@ mod tests {
     #[test]
     fn finds_minimal_counterexample_depths() {
         for bad_at in [1u64, 3, 5, 9] {
-            let aig = modular_counter(4, 10, bad_at);
-            let result = verify(&aig, 0, &options());
+            let aig = modular(4, 10, bad_at);
+            let result = verify(&aig, &options());
             assert_eq!(
                 result.verdict,
                 Verdict::Falsified {
@@ -1131,16 +1102,16 @@ mod tests {
 
     #[test]
     fn detects_depth_zero_violations() {
-        let aig = modular_counter(3, 6, 0);
-        let result = verify(&aig, 0, &options());
+        let aig = modular(3, 6, 0);
+        let result = verify(&aig, &options());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 0 });
     }
 
     #[test]
     fn respects_the_bound_budget() {
         // The bad value 30 needs 30 steps; a bound of 3 must give up.
-        let aig = modular_counter(5, 32, 30);
-        let result = verify(&aig, 0, &options().with_max_bound(3));
+        let aig = modular(5, 32, 30);
+        let result = verify(&aig, &options().with_max_bound(3));
         assert!(matches!(
             result.verdict,
             Verdict::Inconclusive {
@@ -1163,7 +1134,7 @@ mod tests {
         aig.set_next(armed, aig::Lit::TRUE);
         let bad = aig.and(trigger, armed_lit);
         aig.add_bad(bad);
-        let result = verify(&aig, 0, &options());
+        let result = verify(&aig, &options());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 1 });
     }
 
@@ -1181,19 +1152,19 @@ mod tests {
             aig.set_next(noise, noise_input);
         }
         aig.add_bad(flag_lit);
-        let result = verify(&aig, 0, &options());
+        let result = verify(&aig, &options());
         assert!(result.verdict.is_proved(), "{}", result.verdict);
         // The parallel generalization screening must reach the same proof.
-        let parallel = verify(&aig, 0, &options().with_threads(4));
+        let parallel = verify(&aig, &options().with_threads(4));
         assert!(parallel.verdict.is_proved(), "{}", parallel.verdict);
     }
 
     #[test]
     fn parallel_frames_match_the_sequential_verdicts() {
         for (modulus, bad_at) in [(6u64, 7u64), (6, 3), (10, 9), (14, 15)] {
-            let aig = modular_counter(4, modulus, bad_at);
-            let sequential = verify(&aig, 0, &options());
-            let parallel = verify(&aig, 0, &options().with_threads(4));
+            let aig = modular(4, modulus, bad_at);
+            let sequential = verify(&aig, &options());
+            let parallel = verify(&aig, &options().with_threads(4));
             assert_eq!(
                 sequential.verdict.is_proved(),
                 parallel.verdict.is_proved(),
@@ -1211,58 +1182,18 @@ mod tests {
     fn parallel_runs_are_deterministic() {
         // Chunked merges are ordered, so repeated parallel runs (and runs
         // with different worker counts) must report identical verdicts.
-        let aig = modular_counter(5, 20, 31);
-        let reference = verify(&aig, 0, &options().with_threads(2));
+        let aig = modular(5, 20, 31);
+        let reference = verify(&aig, &options().with_threads(2));
         for threads in [2usize, 3, 8] {
-            let again = verify(&aig, 0, &options().with_threads(threads));
+            let again = verify(&aig, &options().with_threads(threads));
             assert_eq!(reference.verdict, again.verdict, "threads = {threads}");
         }
     }
 
     #[test]
-    fn push_forward_keeps_verdict_kinds() {
-        // Options::push_obligations is an A/B switch: verdict kinds must
-        // be identical on and off, and the default (off) reports minimal
-        // counterexample depths.  A forwarded chain may witness a longer
-        // (but still real) counterexample.
-        for (modulus, bad_at) in [(6u64, 7u64), (6, 3), (10, 9), (14, 15), (14, 6)] {
-            let aig = modular_counter(4, modulus, bad_at);
-            let off = verify(&aig, 0, &options());
-            let on = verify(&aig, 0, &options().with_push_obligations(true));
-            assert_eq!(
-                off.verdict.is_proved(),
-                on.verdict.is_proved(),
-                "modulus={modulus} bad_at={bad_at}: {} vs {}",
-                off.verdict,
-                on.verdict
-            );
-            if let Verdict::Falsified { depth: minimal } = off.verdict {
-                assert_eq!(minimal, bad_at as usize, "off must stay minimal");
-                match on.verdict {
-                    Verdict::Falsified { depth } => assert!(
-                        depth >= minimal,
-                        "push-forward counterexamples are real, so never shorter"
-                    ),
-                    ref other => panic!("expected a counterexample, got {other}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn push_forward_default_is_off() {
-        assert!(!Options::default().push_obligations);
-        assert!(
-            Options::default()
-                .with_push_obligations(true)
-                .push_obligations
-        );
-    }
-
-    #[test]
     fn proved_runs_carry_a_checkable_invariant() {
-        let aig = modular_counter(3, 6, 7);
-        let result = verify(&aig, 0, &options());
+        let aig = modular(3, 6, 7);
+        let result = verify(&aig, &options());
         assert!(result.verdict.is_proved(), "{}", result.verdict);
         let Some(Certificate::Invariant(inv)) = &result.certificate else {
             panic!("proved PDR run must carry an invariant certificate");
@@ -1274,7 +1205,7 @@ mod tests {
         }
         assert!(!inv.eval(&state(7)), "the bad state must violate Inv");
         // The A/B switch: no certificate, same verdict.
-        let off = verify(&aig, 0, &options().with_certificates(false));
+        let off = verify(&aig, &options().with_certificates(false));
         assert_eq!(off.verdict, result.verdict);
         assert_eq!(off.certificate, None);
     }
@@ -1282,8 +1213,8 @@ mod tests {
     #[test]
     fn counterexample_chains_replay_to_the_bad_state() {
         for bad_at in [1u64, 3, 5, 9] {
-            let aig = modular_counter(4, 10, bad_at);
-            let result = verify(&aig, 0, &options());
+            let aig = modular(4, 10, bad_at);
+            let result = verify(&aig, &options());
             let depth = bad_at as usize;
             assert_eq!(result.verdict, Verdict::Falsified { depth });
             let Some(Certificate::Trace(inputs)) = &result.certificate else {
@@ -1306,7 +1237,7 @@ mod tests {
         aig.set_next(armed, aig::Lit::TRUE);
         let bad = aig.and(trigger, armed_lit);
         aig.add_bad(bad);
-        let result = verify(&aig, 0, &options());
+        let result = verify(&aig, &options());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 1 });
         let Some(Certificate::Trace(inputs)) = &result.certificate else {
             panic!("missing trace");
@@ -1319,7 +1250,7 @@ mod tests {
     fn multi_pdr_shares_one_invariant_and_replays_every_trace() {
         // A mod-6 counter with four properties: two falsified (depth 0 and
         // depth 3) and two proved (values 6 and 7 are unreachable).
-        let mut aig = modular_counter(3, 6, 0);
+        let mut aig = modular(3, 6, 0);
         let bits: Vec<aig::Lit> = (0..3).map(|l| aig.latch_lit(l)).collect();
         for value in [3u64, 6, 7] {
             let bad = word_equals_const(&mut aig, &bits, value);
@@ -1364,11 +1295,10 @@ mod tests {
 
     #[test]
     fn cancellation_stops_the_run() {
-        use crate::engines::CancelToken;
-        let aig = modular_counter(5, 28, 27);
+        let aig = modular(5, 28, 27);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let result = verify_with_cancel(&aig, 0, &options(), &cancel);
+        let result = Engine::Pdr.run(&aig, 0, &options(), &cancel);
         match result.verdict {
             Verdict::Inconclusive { ref reason, .. } => assert_eq!(reason, "cancelled"),
             ref other => panic!("cancelled run must be inconclusive, got {other}"),
@@ -1381,10 +1311,9 @@ mod tests {
         // converged PDR trace parks a weaker lemma above a stronger one,
         // so its invariant certificate genuinely loses clauses to the
         // subsumption pass before emission.
-        let bench = workloads::counter::modular(5, 20, 31);
+        let bench = modular(5, 20, 31);
         let result = verify(
             &bench,
-            0,
             &options()
                 .with_timeout(std::time::Duration::from_secs(30))
                 .with_max_bound(60),

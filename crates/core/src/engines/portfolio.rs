@@ -57,17 +57,12 @@ use telemetry::ArgValue;
 /// The racing lineup, in adoption-precedence order: PDR (the strongest
 /// prover), ITPSEQCBA (the paper's best interpolation engine), BMC (the
 /// fastest falsifier).
-pub const ENTRANTS: [Engine; 3] = [Engine::Pdr, Engine::ItpSeqCba, Engine::Bmc];
+pub(crate) const ENTRANTS: [Engine; 3] = [Engine::Pdr, Engine::ItpSeqCba, Engine::Bmc];
 
 /// Races the [`ENTRANTS`] on bad-state property `bad_index`; the first
-/// conclusive verdict wins and the losers are cancelled.
-pub fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(aig, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under an outer cancellation token; cancelling it cancels
-/// every entrant.
-pub fn verify_with_cancel(
+/// conclusive verdict wins and the losers are cancelled.  Cancelling the
+/// outer token `cancel` cancels every entrant.
+pub(crate) fn run(
     aig: &Aig,
     bad_index: usize,
     options: &Options,
@@ -274,21 +269,11 @@ pub fn verify_with_cancel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use workloads::counter::modular;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> aig::Aig {
-        let mut aig = aig::Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    /// Runs the portfolio on property 0 of `aig`, with no preprocessing.
+    fn verify(aig: &Aig, options: &Options) -> EngineResult {
+        Engine::Portfolio.run(aig, 0, options, &CancelToken::new())
     }
 
     fn options() -> Options {
@@ -299,11 +284,11 @@ mod tests {
 
     #[test]
     fn proves_and_tags_the_winner() {
-        let aig = modular_counter(3, 6, 7);
+        let aig = modular(3, 6, 7);
         // Sequential entrants (the default budget) and the auto budget
         // (parallel PDR entrant) must both prove and tag a winner.
         for budget in [1usize, 0] {
-            let result = verify(&aig, 0, &options().with_threads(budget));
+            let result = verify(&aig, &options().with_threads(budget));
             assert!(result.verdict.is_proved(), "{}", result.verdict);
             let winner = result.stats.winner.expect("portfolio tags its winner");
             assert!(ENTRANTS.iter().any(|e| e.name() == winner));
@@ -313,8 +298,8 @@ mod tests {
     #[test]
     fn falsifies_at_the_minimal_depth() {
         for bad_at in [1u64, 4, 8] {
-            let aig = modular_counter(4, 10, bad_at);
-            let result = verify(&aig, 0, &options());
+            let aig = modular(4, 10, bad_at);
+            let result = verify(&aig, &options());
             assert_eq!(
                 result.verdict,
                 Verdict::Falsified {
@@ -327,17 +312,17 @@ mod tests {
 
     #[test]
     fn detects_depth_zero_violations() {
-        let aig = modular_counter(3, 6, 0);
-        let result = verify(&aig, 0, &options());
+        let aig = modular(3, 6, 0);
+        let result = verify(&aig, &options());
         assert_eq!(result.verdict, Verdict::Falsified { depth: 0 });
     }
 
     #[test]
     fn outer_cancellation_stops_every_entrant() {
-        let aig = modular_counter(5, 28, 31);
+        let aig = modular(5, 28, 31);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let result = verify_with_cancel(&aig, 0, &options(), &cancel);
+        let result = Engine::Portfolio.run(&aig, 0, &options(), &cancel);
         assert!(
             matches!(result.verdict, Verdict::Inconclusive { .. }),
             "{}",
@@ -348,9 +333,9 @@ mod tests {
     #[test]
     fn agrees_with_the_sequential_reference() {
         for bad_at in 1..8u64 {
-            let aig = modular_counter(3, 6, bad_at);
+            let aig = modular(3, 6, bad_at);
             let reference = Engine::Pdr.verify(&aig, 0, &options());
-            let raced = verify(&aig, 0, &options());
+            let raced = verify(&aig, &options());
             assert_eq!(
                 reference.verdict.is_proved(),
                 raced.verdict.is_proved(),

@@ -9,12 +9,26 @@
 //! * the serial fraction `αs` (0 = fully parallel, 1 = fully serial),
 //! * whether counterexample-based abstraction is enabled.
 //!
-//! The module is `pub(crate)` (rather than private) so that engine
-//! families outside `engines/` — a portfolio runner combining
-//! [`SeqConfig`]/[`run`] with [`crate::engines::pdr`], for instance —
-//! can drive this loop without re-deriving it.  The PDR subsystem itself
-//! keeps its own frame machinery (clause traces, not interpolant
-//! columns) and does not depend on this module.
+//! The three engines are the three [`SeqConfig`]s below:
+//!
+//! * [`ITPSEQ`] — parallel interpolation sequences (`ITPSEQVERIF`,
+//!   Fig. 2): every element of the sequence comes from the single
+//!   refutation proof of the bounded check, and the column conjunctions
+//!   `ℐ_j` accumulate across bounds and are checked for inclusion in the
+//!   running reachability over-approximation;
+//! * [`SITPSEQ`] — serial interpolation sequences (`SITPSEQ`, Fig. 4,
+//!   Definition 3): the first `⌊αs · n⌋` elements are computed serially,
+//!   every `I_j` from its own refutation of `I_{j-1} ∧ A_j ∧ ⋀_{i>j} A_i`,
+//!   the rest in parallel from one proof.  The cumulative interpolation
+//!   of the serial prefix tends to converge at smaller depths, at the
+//!   price of extra SAT calls;
+//! * [`ITPSEQCBA`] — SITPSEQ on a localization abstraction
+//!   (`ITPSEQCBAVERIF`, Fig. 5): invisible latches become free inputs,
+//!   abstract counterexamples are checked on the concrete design
+//!   (`EXTEND`), and spurious ones refine the abstraction from the
+//!   unsatisfiable assumption core (`REFINE`).  The smaller abstract
+//!   model yields smaller refutation proofs and more aggressive
+//!   over-approximation.
 
 use crate::abstraction::Abstraction;
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
@@ -24,7 +38,7 @@ use crate::{EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
 use cnf::{BmcCheck, Clause, IncrementalUnroller, Unroller};
 use itp::InterpolationContext;
-use sat::{Proof, SolveResult, Solver};
+use sat::{Proof, SolveResult};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -35,11 +49,35 @@ use telemetry::{ArgValue, Telemetry};
 pub(crate) struct SeqConfig {
     /// The engine's reporting name (labels its trace spans).
     pub name: &'static str,
-    /// Fraction of the sequence computed serially (Fig. 4's `αs`).
-    pub alpha_serial: f64,
+    /// Compute the first [`Options::alpha_serial`] fraction of each
+    /// sequence serially (Fig. 4); otherwise the whole sequence comes
+    /// from one proof.
+    pub serial: bool,
     /// Enable counterexample-based abstraction (Fig. 5).
     pub use_cba: bool,
 }
+
+/// Parallel interpolation sequences (Fig. 2).
+pub(crate) const ITPSEQ: SeqConfig = SeqConfig {
+    name: "ITPSEQ",
+    serial: false,
+    use_cba: false,
+};
+
+/// Serial interpolation sequences (Fig. 4).
+pub(crate) const SITPSEQ: SeqConfig = SeqConfig {
+    name: "SITPSEQ",
+    serial: true,
+    use_cba: false,
+};
+
+/// Serial interpolation sequences with counterexample-based abstraction
+/// (Fig. 5).
+pub(crate) const ITPSEQCBA: SeqConfig = SeqConfig {
+    name: "ITPSEQCBA",
+    serial: true,
+    use_cba: true,
+};
 
 /// How frame 0 of an unrolling is constrained.
 enum InitKind<'a> {
@@ -208,9 +246,8 @@ fn solve(
     probe: &EngineProbe,
     telemetry: &Telemetry,
 ) -> (SolveResult, Option<Proof>) {
-    let mut solver = Solver::new();
+    let mut solver = budget.solver();
     solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
     solver.set_progress_probe(probe.probe());
     solver.add_cnf(cnf);
     stats.sat_calls += 1;
@@ -265,10 +302,9 @@ fn falsification_trace(
         .map(|f| (0..num_inputs).map(|i| unroller.input_lit(f, i)).collect())
         .collect();
     let cnf = unroller.into_cnf();
-    let mut solver = Solver::new();
+    let mut solver = budget.solver();
     solver.set_proof_logging(false);
     solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
     solver.add_cnf(&cnf);
     stats.sat_calls += 1;
     stats.clauses_encoded += cnf.clauses.len() as u64;
@@ -509,12 +545,11 @@ fn extend_or_refine(
     };
 
     let cnf = unroller.into_cnf();
-    let mut solver = Solver::new();
+    let mut solver = budget.solver();
     // This query only reads the assumption core on Unsat, never a proof —
     // skip chain recording so DB reduction stays unrestricted.
     solver.set_proof_logging(false);
     solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
     solver.add_cnf(&cnf);
     stats.sat_calls += 1;
     stats.clauses_encoded += cnf.clauses.len() as u64;
@@ -555,7 +590,9 @@ fn extend_or_refine(
     }
 }
 
-/// The shared outer loop of the sequence-based engines.
+/// The shared outer loop of the sequence-based engines.  The serial
+/// fraction is [`Options::alpha_serial`] for a `serial` config and 0
+/// otherwise.
 pub(crate) fn run(
     design: &Aig,
     bad_index: usize,
@@ -574,6 +611,11 @@ pub(crate) fn run(
             ("cba", ArgValue::U64(u64::from(config.use_cba))),
         ]
     });
+    let alpha_serial = if config.serial {
+        options.alpha_serial
+    } else {
+        0.0
+    };
     let mut stats = EngineStats::default();
     let probe = EngineProbe::new(telemetry, options.probe_interval);
     let mut space = StateSpace::new(design.num_latches(), budget.incremental_solver());
@@ -761,7 +803,7 @@ pub(crate) fn run(
             model,
             k,
             options.check,
-            config.alpha_serial,
+            alpha_serial,
             options.reduce_interval(),
             &probe,
             &mut space,
@@ -857,23 +899,15 @@ pub(crate) fn run(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::Engine;
     use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use workloads::counter::modular;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    /// Runs `engine` on property 0 of `aig`, with no preprocessing.
+    fn verify(engine: Engine, aig: &Aig, options: &Options) -> EngineResult {
+        engine.run(aig, 0, options, &CancelToken::new())
     }
 
     fn gated_counter(width: usize) -> Aig {
@@ -889,6 +923,187 @@ mod tests {
         aig
     }
 
+    /// A design where half the latches are irrelevant to the property, so
+    /// the abstraction should stay strictly smaller than the design.
+    fn counter_with_dead_logic(bad_at: u64) -> Aig {
+        let mut aig = modular(3, 6, bad_at);
+        // Irrelevant free-running toggles driven by an input.
+        let noise_in = aig::Lit::positive(aig.add_input());
+        for _ in 0..4 {
+            let l = aig.add_latch(false);
+            let cur = aig.latch_lit(l);
+            let next = aig.xor(cur, noise_in);
+            aig.set_next(l, next);
+        }
+        aig
+    }
+
+    /// `engine` proves the counter values its modulus never reaches and
+    /// computes interpolants doing so.
+    pub(crate) fn proves_unreachable_counter_values(engine: Engine) {
+        for bad_at in [6u64, 7] {
+            let result = verify(engine, &modular(3, 6, bad_at), &Options::default());
+            assert!(
+                result.verdict.is_proved(),
+                "{engine} bad_at={bad_at}: {}",
+                result.verdict
+            );
+            assert!(result.stats.interpolants > 0, "{engine} bad_at={bad_at}");
+        }
+    }
+
+    /// `engine` falsifies reachable counter values at their exact depth.
+    pub(crate) fn falsifies_at_the_exact_depth(engine: Engine) {
+        for bad_at in [2u64, 3, 5] {
+            let result = verify(engine, &modular(3, 6, bad_at), &Options::default());
+            assert_eq!(
+                result.verdict,
+                Verdict::Falsified {
+                    depth: bad_at as usize
+                },
+                "{engine} bad_at={bad_at}"
+            );
+        }
+    }
+
+    /// `engine` agrees with exact BDD reachability on every counter value,
+    /// with and without irrelevant latches beside the counter.
+    pub(crate) fn matches_exact_bdd_reachability(engine: Engine) {
+        let designs = (1..8u64)
+            .map(|bad_at| modular(3, 6, bad_at))
+            .chain([1u64, 3, 6, 7].map(counter_with_dead_logic));
+        for aig in designs {
+            let exact = bdd::reach::analyze(&aig, 0, 1_000_000);
+            let got = verify(engine, &aig, &Options::default());
+            let context = format!("{engine} on {} ({} latches)", aig.name(), aig.num_latches());
+            match exact.verdict {
+                bdd::BddVerdict::Pass => {
+                    assert!(got.verdict.is_proved(), "{context}: {}", got.verdict)
+                }
+                bdd::BddVerdict::Fail { depth } => {
+                    assert_eq!(got.verdict, Verdict::Falsified { depth }, "{context}")
+                }
+                bdd::BddVerdict::Overflow => unreachable!("tiny design cannot overflow"),
+            }
+        }
+    }
+
+    #[test]
+    fn exact_and_assume_checks_agree_on_verdicts() {
+        for bad_at in [2u64, 7] {
+            let aig = modular(3, 6, bad_at);
+            let exact = verify(
+                Engine::ItpSeq,
+                &aig,
+                &Options::default().with_check(BmcCheck::Exact),
+            );
+            let assume = verify(
+                Engine::ItpSeq,
+                &aig,
+                &Options::default().with_check(BmcCheck::ExactAssume),
+            );
+            assert_eq!(
+                exact.verdict.is_proved(),
+                assume.verdict.is_proved(),
+                "bad_at={bad_at}"
+            );
+            assert_eq!(
+                exact.verdict.is_falsified(),
+                assume.verdict.is_falsified(),
+                "bad_at={bad_at}"
+            );
+        }
+    }
+
+    #[test]
+    fn bound_budget_exhaustion_is_inconclusive() {
+        // The counter needs bound 6 of reasoning; cap it at 2.
+        let aig = modular(3, 6, 7);
+        let result = verify(Engine::ItpSeq, &aig, &Options::default().with_max_bound(2));
+        assert!(matches!(
+            result.verdict,
+            Verdict::Inconclusive {
+                bound_reached: 2,
+                ..
+            } | Verdict::Proved { .. }
+        ));
+    }
+
+    #[test]
+    fn every_alpha_setting_is_sound() {
+        for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            for bad_at in [3u64, 7] {
+                let aig = modular(3, 6, bad_at);
+                let exact = bdd::reach::analyze(&aig, 0, 1_000_000);
+                let got = verify(
+                    Engine::SerialItpSeq,
+                    &aig,
+                    &Options::default().with_alpha(alpha),
+                );
+                match exact.verdict {
+                    bdd::BddVerdict::Pass => assert!(
+                        got.verdict.is_proved(),
+                        "alpha={alpha} bad_at={bad_at}: {}",
+                        got.verdict
+                    ),
+                    bdd::BddVerdict::Fail { depth } => assert_eq!(
+                        got.verdict,
+                        Verdict::Falsified { depth },
+                        "alpha={alpha} bad_at={bad_at}"
+                    ),
+                    bdd::BddVerdict::Overflow => unreachable!(),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serial_steps_issue_more_sat_calls_than_parallel() {
+        let aig = modular(3, 6, 7);
+        let run = |alpha: f64| {
+            verify(
+                Engine::SerialItpSeq,
+                &aig,
+                &Options::default().with_alpha(alpha),
+            )
+        };
+        let (parallel, serial) = (run(0.0), run(1.0));
+        assert!(parallel.verdict.is_proved());
+        assert!(serial.verdict.is_proved());
+        assert!(serial.stats.sat_calls >= parallel.stats.sat_calls);
+    }
+
+    #[test]
+    fn abstraction_ignores_irrelevant_latches() {
+        let aig = counter_with_dead_logic(7);
+        let result = verify(Engine::ItpSeqCba, &aig, &Options::default());
+        assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+        assert!(
+            result.stats.visible_latches <= 3,
+            "only the counter latches should become visible, got {}",
+            result.stats.visible_latches
+        );
+    }
+
+    #[test]
+    fn refinement_occurs_when_property_depends_on_hidden_state() {
+        // The property reads only the top bit of a counter that wraps at
+        // 3, so bit 2 never rises; the initial abstraction hides the lower
+        // bits and must be refined before the proof succeeds.
+        let mut aig = Aig::new();
+        let (ids, bits) = latch_word(&mut aig, 3, 0);
+        let wrap = word_equals_const(&mut aig, &bits, 3);
+        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
+        let zero = aig::builder::word_const(3, 0);
+        let next = word_mux(&mut aig, wrap, &zero, &inc);
+        for (id, n) in ids.iter().zip(next.iter()) {
+            aig.set_next(*id, *n);
+        }
+        aig.add_bad(bits[2]);
+        let result = verify(Engine::ItpSeqCba, &aig, &Options::default());
+        assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+    }
+
     /// The cached unrolling must reproduce the scratch instance *exactly*:
     /// same clauses in the same order with the same partition labels and
     /// variable numbering — that is what keeps proofs, interpolants and
@@ -896,7 +1111,7 @@ mod tests {
     /// pre-cache engine.
     #[test]
     fn cached_instances_are_bit_identical_to_scratch_builds() {
-        let designs = [modular_counter(3, 6, 7), gated_counter(3)];
+        let designs = [modular(3, 6, 7), gated_counter(3)];
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
             for design in &designs {
                 let mut cache = CachedUnrolling::new(design, 0, check);
@@ -921,7 +1136,7 @@ mod tests {
     /// must not grow the cache or change the instance.
     #[test]
     fn repeated_instances_at_one_bound_are_stable() {
-        let design = modular_counter(3, 6, 7);
+        let design = modular(3, 6, 7);
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
             let mut cache = CachedUnrolling::new(&design, 0, check);
             let mut stats = EngineStats::default();

@@ -5,41 +5,37 @@
 //! substrates of the workspace (AIG circuits, partitioned CNF unrolling, a
 //! proof-logging CDCL solver, Craig interpolation and BDDs):
 //!
-//! * [`engines::bmc`] — plain bounded model checking with the *bound-k*,
+//! * [`Engine::Bmc`] — plain bounded model checking with the *bound-k*,
 //!   *exact-k* and *exact-assume-k* formulations (Section II-A / III),
-//! * [`engines::itp`] — McMillan-style standard interpolation
+//! * [`Engine::Itp`] — McMillan-style standard interpolation
 //!   (`ITPVERIF`, Fig. 1),
-//! * [`engines::itpseq`] — parallel interpolation sequences
+//! * [`Engine::ItpSeq`] — parallel interpolation sequences
 //!   (`ITPSEQVERIF`, Fig. 2),
-//! * [`engines::sitpseq`] — serial interpolation sequences
-//!   (`SITPSEQ`, Fig. 4, Definition 3),
-//! * [`engines::itpseq_cba`] — serial interpolation sequences tightly
+//! * [`Engine::SerialItpSeq`] — serial interpolation sequences
+//!   (`SITPSEQ`, Fig. 4, Definition 3), with the serial fraction
+//!   [`Options::alpha_serial`],
+//! * [`Engine::ItpSeqCba`] — serial interpolation sequences tightly
 //!   integrated with counterexample-based abstraction
 //!   (`ITPSEQCBAVERIF`, Fig. 5),
-//! * [`engines::pdr`] — IC3/property-directed reachability, the
+//! * [`Engine::Pdr`] — IC3/property-directed reachability, the
 //!   post-2011 competitor every modern checker ships, included for
-//!   head-to-head comparisons against the paper's engines,
-//! * [`engines::portfolio`] — the racing portfolio ([`Engine::Portfolio`]):
-//!   PDR, ITPSEQCBA and BMC run concurrently per property, the first
-//!   conclusive verdict wins and the losers are cancelled through
-//!   [`CancelToken`]s,
-//! * [`multi`] — multi-property verification ([`verify_all`] /
-//!   [`Engine::verify_all`]): amortized multi-BMC and multi-PDR backends
-//!   plus a COI-grouping property scheduler, with per-property statuses
-//!   bit-identical in kind and counterexample depth to the per-property
-//!   loop.
+//!   head-to-head comparisons against the paper's engines; with
+//!   [`Options::threads`] above 1 it parallelizes its per-frame
+//!   propagation queries and generalization candidates without changing
+//!   verdict kinds or counterexample depths,
+//! * [`Engine::Portfolio`] — the racing portfolio: PDR, ITPSEQCBA and BMC
+//!   run concurrently per property, the first conclusive verdict wins and
+//!   the losers are cancelled through [`CancelToken`]s,
+//! * [`multi`] — multi-property verification ([`Engine::verify_all`]):
+//!   amortized multi-BMC and multi-PDR backends plus a COI-grouping
+//!   property scheduler, with per-property statuses bit-identical in kind
+//!   and counterexample depth to the per-property loop.
 //!
-//! All engines return an [`EngineResult`] carrying the verdict together
-//! with the depth statistics `(k_fp, j_fp)` the paper's Table I reports
-//! (for PDR, `k_fp` is the convergence level and `j_fp` the frame at
-//! which the trace reached its fixpoint).
-//!
-//! Every engine also exposes a `verify_with_cancel` entry point taking a
-//! [`CancelToken`]; with [`Options::threads`] above 1, PDR additionally
-//! parallelizes its per-frame propagation queries and generalization
-//! candidates across worker threads without changing verdict kinds or
-//! counterexample depths (see [`engines::pdr`] for the precise
-//! determinism contract).
+//! All engines run through [`Engine::verify`] (or
+//! [`Engine::verify_with_cancel`]) and return an [`EngineResult`] carrying
+//! the verdict together with the depth statistics `(k_fp, j_fp)` the
+//! paper's Table I reports (for PDR, `k_fp` is the convergence level and
+//! `j_fp` the frame at which the trace reached its fixpoint).
 //!
 //! # Example
 //!
@@ -66,15 +62,14 @@
 
 pub mod abstraction;
 pub mod certificate;
-pub mod engines;
+mod engines;
 pub mod multi;
 pub mod pipeline;
 pub mod state;
 mod types;
 
 pub use certificate::{CertRecord, Certificate, InvariantCert, InvariantCone};
-pub use engines::{bmc, itp, itpseq, itpseq_cba, pdr, portfolio, sitpseq, CancelToken};
-pub use multi::verify_all;
+pub use engines::CancelToken;
 pub use pipeline::{prepare, prepare_property, Prepared};
 pub use sat::{FaultKind, FaultPlan, FaultSite, MemoryBudget};
 pub use telemetry::Telemetry;

@@ -41,7 +41,7 @@
 //! # Example
 //!
 //! ```
-//! use mc::{verify_all, Options, PropertyStatus};
+//! use mc::{Engine, Options};
 //!
 //! // A 2-bit counter wrapping at 3, with one property per threshold:
 //! // value 2 is reached at depth 2, value 3 never.
@@ -59,7 +59,7 @@
 //!     aig.add_bad(bad);
 //! }
 //!
-//! let result = verify_all(&aig, &Options::default());
+//! let result = Engine::Portfolio.verify_all(&aig, &Options::default());
 //! assert_eq!(result.statuses[0].depth(), Some(2));
 //! assert!(result.statuses[1].is_proved());
 //! ```
@@ -69,19 +69,14 @@ pub mod pdr;
 pub mod scheduler;
 
 use crate::engines::CancelToken;
+use crate::types::faulted_multi_result;
 use crate::{Engine, EngineStats, MultiResult, Options, PropertyStatus, StopReason};
 use aig::Aig;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
-
-/// Verifies every bad-state property of `aig` with the property
-/// scheduler (COI grouping + racing multi-PDR/multi-BMC) — the
-/// [`Engine::Portfolio`] flavour of [`Engine::verify_all`].
-pub fn verify_all(aig: &Aig, options: &Options) -> MultiResult {
-    Engine::Portfolio.verify_all(aig, options)
-}
 
 /// The dispatch behind [`Engine::verify_all_with_cancel`]: the staged
 /// pipeline entry.  The design is reduced once by the preprocessing
@@ -105,6 +100,12 @@ pub(crate) fn verify_all_with_engine(
 /// preprocessing stage.  `cois`, when given, are the per-property
 /// sequential COIs of `aig` (the preprocessing pipeline's by-product)
 /// for the scheduler's property grouping.
+///
+/// This is the panic-containment boundary of the direct multi-BMC and
+/// multi-PDR backends: a panic inside either turns every property
+/// inconclusive with a [`StopReason::Panic`] reason, exactly as
+/// [`Engine::dispatch`] does for one property.  The scheduler and the
+/// fallback loop contain their own panics.
 pub(crate) fn verify_all_inner(
     aig: &Aig,
     engine: Engine,
@@ -113,11 +114,17 @@ pub(crate) fn verify_all_inner(
     cois: Option<&[aig::coi::Coi]>,
 ) -> MultiResult {
     let props: Vec<usize> = (0..aig.num_bad()).collect();
+    let contained = |backend: &dyn Fn() -> MultiResult| {
+        catch_unwind(AssertUnwindSafe(backend))
+            .unwrap_or_else(|payload| faulted_multi_result(props.len(), payload.as_ref()))
+    };
     match engine {
-        Engine::Bmc => bmc::verify_all_with_cancel(aig, &props, options, cancel, None),
-        Engine::Pdr => {
-            crate::engines::pdr::verify_all_with_cancel(aig, &props, options, cancel, None)
+        Engine::Bmc => {
+            contained(&|| bmc::verify_all_with_cancel(aig, &props, options, cancel, None))
         }
+        Engine::Pdr => contained(&|| {
+            crate::engines::pdr::verify_all_with_cancel(aig, &props, options, cancel, None)
+        }),
         Engine::Portfolio => scheduler::verify_all_with_cancel(aig, options, cancel, cois),
         other => fallback_loop(aig, &props, other, options, cancel),
     }
@@ -372,7 +379,8 @@ mod tests {
 
     #[test]
     fn fallback_loop_matches_per_property_runs() {
-        let aig = workloads_counter();
+        // One failing (depth 2) and one holding property.
+        let aig = workloads::counter::modular_multi(2, 3, &[2, 3]);
         let options = Options::default().with_max_bound(12);
         let multi = fallback_loop(&aig, &[0, 1], Engine::ItpSeq, &options, &CancelToken::new());
         assert_eq!(multi.statuses.len(), 2);
@@ -381,23 +389,5 @@ mod tests {
             assert!(status.agrees_with(&single.verdict), "property {prop}");
         }
         assert!(multi.stats.sat_calls > 0);
-    }
-
-    /// A counter with one failing (depth 2) and one holding property.
-    fn workloads_counter() -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = aig::builder::latch_word(&mut aig, 2, 0);
-        let wrap = aig::builder::word_equals_const(&mut aig, &bits, 2);
-        let inc = aig::builder::word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(2, 0);
-        let next = aig::builder::word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        for threshold in [2u64, 3] {
-            let bad = aig::builder::word_equals_const(&mut aig, &bits, threshold);
-            aig.add_bad(bad);
-        }
-        aig
     }
 }

@@ -18,23 +18,14 @@
 //!   level whose blocking phases cleaned every live property's frontier
 //!   is one inductive invariant excluding all of their bad states.
 //!
-//! This module re-exports the driver for `verify_all` dispatch and holds
-//! its multi-property regression tests.
-
-use crate::engines::CancelToken;
-use crate::{MultiResult, Options};
-use aig::Aig;
-
-/// Verifies the bad-state properties `props` of `aig` on one shared PDR
-/// trace; `statuses[i]` reports on property `props[i]`.
-pub fn verify_all(aig: &Aig, props: &[usize], options: &Options) -> MultiResult {
-    crate::engines::pdr::verify_all_with_cancel(aig, props, options, &CancelToken::new(), None)
-}
+//! This module holds its multi-property regression tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{Engine, PropertyStatus};
+    use crate::engines::pdr::verify_all_with_cancel;
+    use crate::engines::CancelToken;
+    use crate::{Engine, MultiResult, Options, PropertyStatus};
+    use aig::Aig;
     use std::time::Duration;
 
     fn options() -> Options {
@@ -114,14 +105,19 @@ mod tests {
         let aig = workloads::counter::modular_multi(5, 28, &[27, 30]);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let multi =
-            crate::engines::pdr::verify_all_with_cancel(&aig, &[0, 1], &options(), &cancel, None);
+        let multi = verify_all_with_cancel(&aig, &[0, 1], &options(), &cancel, None);
         for status in &multi.statuses {
             match status {
                 PropertyStatus::Inconclusive { reason, .. } => assert_eq!(reason, "cancelled"),
                 other => panic!("cancelled run must be inconclusive, got {other}"),
             }
         }
+    }
+
+    /// Multi-PDR on the property subset `props`, with no
+    /// preprocessing.
+    fn verify_all(aig: &Aig, props: &[usize], options: &Options) -> MultiResult {
+        verify_all_with_cancel(aig, props, options, &CancelToken::new(), None)
     }
 
     #[test]

@@ -27,32 +27,12 @@
 
 use crate::engines::CancelToken;
 use crate::multi::{bmc, RetireBoard};
-use crate::{EngineStats, MultiResult, Options, PropertyStatus, StopReason};
+use crate::types::faulted_multi_result;
+use crate::{EngineStats, MultiResult, Options, PropertyStatus};
 use aig::Aig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use telemetry::ArgValue;
-
-/// A result standing in for a faulted (panicked) backend or group: every
-/// property inconclusive with the contained panic as its reason.  The
-/// healthy racing partner's statuses win the per-property adoption (a
-/// panic carries `bound_reached` 0), so one faulted backend never costs
-/// a group its conclusive answers.
-fn faulted_result(n: usize, payload: &(dyn std::any::Any + Send)) -> MultiResult {
-    let reason = StopReason::Panic(crate::types::panic_message(payload));
-    MultiResult {
-        statuses: (0..n)
-            .map(|_| PropertyStatus::Inconclusive {
-                reason: reason.clone(),
-                bound_reached: 0,
-            })
-            .collect(),
-        stats: EngineStats {
-            panics_contained: 1,
-            ..EngineStats::default()
-        },
-    }
-}
 
 /// Verifies every bad-state property of `aig`: COI grouping, then one
 /// racing multi-PDR/multi-BMC pair per group.  `cois`, when given, are
@@ -119,7 +99,9 @@ pub(crate) fn verify_all_with_cancel(
                         // schedule: contain it and report its properties
                         // inconclusive while the other groups finish.
                         catch_unwind(AssertUnwindSafe(|| race_group(aig, props, options, cancel)))
-                            .unwrap_or_else(|payload| faulted_result(props.len(), payload.as_ref()))
+                            .unwrap_or_else(|payload| {
+                                faulted_multi_result(props.len(), payload.as_ref())
+                            })
                     })
                 })
                 .collect();
@@ -194,8 +176,8 @@ fn race_group(aig: &Aig, props: &[usize], options: &Options, cancel: &CancelToke
             bmc.join().expect("entrant panics are caught in the thread"),
         )
     });
-    let pdr = pdr.unwrap_or_else(|payload| faulted_result(props.len(), payload.as_ref()));
-    let bmc = bmc.unwrap_or_else(|payload| faulted_result(props.len(), payload.as_ref()));
+    let pdr = pdr.unwrap_or_else(|payload| faulted_multi_result(props.len(), payload.as_ref()));
+    let bmc = bmc.unwrap_or_else(|payload| faulted_multi_result(props.len(), payload.as_ref()));
 
     let mut stats = EngineStats::default();
     stats.absorb(&pdr.stats);

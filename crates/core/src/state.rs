@@ -196,7 +196,10 @@ pub fn encode_state_lit(
     )
 }
 
+// The state-space tests run outside any engine run, so their reference
+// solves use bare, ungoverned solvers.
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

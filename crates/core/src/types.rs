@@ -548,8 +548,9 @@ pub struct Options {
     /// BMC formulation used by the sequence-based engines (the paper
     /// advocates [`BmcCheck::ExactAssume`]).
     pub check: BmcCheck,
-    /// Serial fraction `αs` of [`crate::engines::sitpseq`] (0 = fully
-    /// parallel, 1 = fully serial).  The paper uses 0.5.
+    /// Serial fraction `αs` of [`Engine::SerialItpSeq`] and
+    /// [`Engine::ItpSeqCba`] (0 = fully parallel, 1 = fully serial).  The
+    /// paper uses 0.5.
     pub alpha_serial: f64,
     /// Whether the SAT cores periodically retire high-LBD learned clauses
     /// (`true`, the default).  The switch exists for A/B validation: the
@@ -563,16 +564,6 @@ pub struct Options {
     /// verdict, only attach evidence to it, and the regression tests
     /// re-run the suite with it off and compare.
     pub certificates: bool,
-    /// Whether PDR re-enqueues a blocked proof obligation one frame
-    /// forward (`false`, the default).
-    ///
-    /// Pushing obligations forward strengthens later frames eagerly and
-    /// can speed up convergence, but a forwarded obligation chain that
-    /// reaches frame 0 witnesses a real — yet possibly non-minimal —
-    /// counterexample, so the option trades the engine's minimal-depth
-    /// guarantee for speed.  Verdict *kinds* are unaffected either way
-    /// (see `tests/multi_property.rs` and the PDR A/B regression).
-    pub push_obligations: bool,
     /// Worker threads for the concurrent modes.
     ///
     /// `1` (the default) keeps every engine's internals strictly
@@ -629,7 +620,6 @@ impl Default for Options {
             alpha_serial: 0.5,
             reduce_db: true,
             certificates: true,
-            push_obligations: false,
             threads: 1,
             telemetry: Telemetry::off(),
             preprocess: aig::passes::PassConfig::default(),
@@ -687,13 +677,6 @@ impl Options {
     /// (see [`Options::certificates`]).
     pub fn with_certificates(mut self, certificates: bool) -> Options {
         self.certificates = certificates;
-        self
-    }
-
-    /// Returns a copy with PDR's obligation push-forward switched on or
-    /// off (see [`Options::push_obligations`]).
-    pub fn with_push_obligations(mut self, push_obligations: bool) -> Options {
-        self.push_obligations = push_obligations;
         self
     }
 
@@ -831,7 +814,8 @@ impl Engine {
 
     /// Runs the engine directly on `aig`, with no preprocessing stage.
     /// Inner entry used by the staged pipeline (which already reduced
-    /// the model) and the multi-property fallback loop.
+    /// the model), the portfolio's entrants and the multi-property
+    /// fallback loop.
     ///
     /// This is the panic-containment boundary: a panic anywhere inside
     /// the engine (including injected ones) is caught here and converted
@@ -848,32 +832,19 @@ impl Engine {
         let faults_fired_before = options.faults.fired();
         let start = std::time::Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch_inner(aig, bad_index, options, cancel)
+            self.run(aig, bad_index, options, cancel)
         }));
-        let mut result = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                options.telemetry.instant_args("fault", || {
-                    vec![
-                        ("engine", ArgValue::Str(self.name().to_string())),
-                        ("panic", ArgValue::Str(msg.clone())),
-                    ]
-                });
-                EngineResult {
-                    verdict: Verdict::Inconclusive {
-                        reason: StopReason::Panic(msg),
-                        bound_reached: 0,
-                    },
-                    stats: EngineStats {
-                        time: start.elapsed(),
-                        panics_contained: 1,
-                        ..EngineStats::default()
-                    },
-                    certificate: None,
-                }
-            }
-        };
+        let mut result = outcome.unwrap_or_else(|payload| {
+            options.telemetry.instant_args("fault", || {
+                vec![
+                    ("engine", ArgValue::Str(self.name().to_string())),
+                    ("panic", ArgValue::Str(panic_message(payload.as_ref()))),
+                ]
+            });
+            let mut result = faulted_result(payload.as_ref());
+            result.stats.time = start.elapsed();
+            result
+        });
         if options.faults.fired() && !faults_fired_before {
             result.stats.faults_injected += 1;
         }
@@ -890,29 +861,25 @@ impl Engine {
         result
     }
 
-    fn dispatch_inner(
+    /// Runs the engine itself: no preprocessing, no panic containment.
+    /// [`dispatch`](Self::dispatch) is its only production caller; the
+    /// engines' unit tests call it directly, so a panic fails them loudly.
+    pub(crate) fn run(
         self,
         aig: &aig::Aig,
         bad_index: usize,
         options: &Options,
         cancel: &CancelToken,
     ) -> EngineResult {
+        use crate::engines::{bmc, itp, pdr, portfolio, seq};
         match self {
-            Engine::Bmc => crate::engines::bmc::verify_with_cancel(aig, bad_index, options, cancel),
-            Engine::Itp => crate::engines::itp::verify_with_cancel(aig, bad_index, options, cancel),
-            Engine::ItpSeq => {
-                crate::engines::itpseq::verify_with_cancel(aig, bad_index, options, cancel)
-            }
-            Engine::SerialItpSeq => {
-                crate::engines::sitpseq::verify_with_cancel(aig, bad_index, options, cancel)
-            }
-            Engine::ItpSeqCba => {
-                crate::engines::itpseq_cba::verify_with_cancel(aig, bad_index, options, cancel)
-            }
-            Engine::Pdr => crate::engines::pdr::verify_with_cancel(aig, bad_index, options, cancel),
-            Engine::Portfolio => {
-                crate::engines::portfolio::verify_with_cancel(aig, bad_index, options, cancel)
-            }
+            Engine::Bmc => bmc::run(aig, bad_index, options, cancel),
+            Engine::Itp => itp::run(aig, bad_index, options, cancel),
+            Engine::ItpSeq => seq::run(aig, bad_index, options, seq::ITPSEQ, cancel),
+            Engine::SerialItpSeq => seq::run(aig, bad_index, options, seq::SITPSEQ, cancel),
+            Engine::ItpSeqCba => seq::run(aig, bad_index, options, seq::ITPSEQCBA, cancel),
+            Engine::Pdr => pdr::run(aig, bad_index, options, cancel),
+            Engine::Portfolio => portfolio::run(aig, bad_index, options, cancel),
         }
     }
 
@@ -956,6 +923,36 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
+    }
+}
+
+/// What a panic contained at an engine boundary turns into:
+/// [`Verdict::Inconclusive`] at bound 0 with the panic message as a
+/// [`StopReason::Panic`], and statistics counting the one contained panic.
+pub(crate) fn faulted_result(payload: &(dyn std::any::Any + Send)) -> EngineResult {
+    EngineResult {
+        verdict: Verdict::Inconclusive {
+            reason: StopReason::Panic(panic_message(payload)),
+            bound_reached: 0,
+        },
+        stats: EngineStats {
+            panics_contained: 1,
+            ..EngineStats::default()
+        },
+        certificate: None,
+    }
+}
+
+/// [`faulted_result`] for a multi-property backend: each of its `n`
+/// properties inconclusive with the contained panic as the reason.  A
+/// racing partner's statuses win the per-property adoption (a panic
+/// carries `bound_reached` 0), so one faulted backend never costs a group
+/// its conclusive answers.
+pub(crate) fn faulted_multi_result(n: usize, payload: &(dyn std::any::Any + Send)) -> MultiResult {
+    let faulted = faulted_result(payload);
+    MultiResult {
+        statuses: vec![PropertyStatus::from_verdict(faulted.verdict); n],
+        stats: faulted.stats,
     }
 }
 

@@ -15,7 +15,7 @@
 //! `#[ignore]`d and exercised by CI's chaos job
 //! (`cargo test --release --test fault_isolation -- --include-ignored`).
 
-use itpseq::mc::{CancelToken, Engine, EngineResult, Options, StopReason, Verdict};
+use itpseq::mc::{CancelToken, Engine, EngineResult, Options, PropertyStatus, StopReason, Verdict};
 use itpseq::sat::{FaultKind, FaultPlan, FaultSite};
 use itpseq::telemetry::{Event, EventKind, Telemetry, TelemetrySink};
 use itpseq::workloads::Benchmark;
@@ -406,6 +406,45 @@ fn spurious_interrupts_never_read_as_unsat() {
         }
     }
     assert!(fired > 0, "the sweep must land at least one interrupt");
+}
+
+/// The direct multi-property backends (`Engine::Pdr.verify_all` and
+/// `Engine::Bmc.verify_all`, outside the scheduler) contain their own
+/// panics: an injected panic turns every property of the run
+/// inconclusive with a `panic:` reason instead of unwinding into the
+/// caller.
+#[test]
+fn direct_multi_backend_panics_are_contained() {
+    let aig = itpseq::workloads::counter::modular_multi(4, 10, &[3, 11, 7, 15]);
+    let base = options().with_threads(1);
+    let mut fired = 0u64;
+    for engine in [Engine::Pdr, Engine::Bmc] {
+        for site in [FaultSite::Conflict, FaultSite::Alloc, FaultSite::Phase] {
+            let plan = FaultPlan::inject(site, FaultKind::Panic, 1);
+            let faulted = engine.verify_all(&aig, &base.clone().with_faults(plan.clone()));
+            let context = format!("{} / {site:?}", engine.name());
+            if !plan.fired() {
+                // This backend never reaches the site on this design.
+                assert_eq!(faulted.stats.panics_contained, 0, "{context}");
+                continue;
+            }
+            fired += 1;
+            assert_eq!(faulted.stats.panics_contained, 1, "{context}");
+            for (i, status) in faulted.statuses.iter().enumerate() {
+                assert!(
+                    matches!(
+                        status,
+                        PropertyStatus::Inconclusive {
+                            reason: StopReason::Panic(_),
+                            ..
+                        }
+                    ),
+                    "{context}: property {i} must carry the panic, got {status}"
+                );
+            }
+        }
+    }
+    assert!(fired >= 5, "the sweep must land the panic at five sites");
 }
 
 /// An industrial run under a starved memory budget terminates with the
